@@ -195,8 +195,18 @@ void Server::drain_events(std::vector<Outbound>& out) {
           dd->second.last_state = service::study_state_name(ev.state);
         }
       }
+      to_retire_.push_back(ev.study);
     }
   }
+}
+
+void Server::retire_closed() {
+  for (const rt::StudyId id : to_retire_) {
+    manager_.retire(id);
+    specs_.erase(id);
+    watchers_.erase(id);
+  }
+  to_retire_.clear();
 }
 
 rt::StudyId Server::submit_spec(const std::string& tenant, json::Value spec_json) {
@@ -238,9 +248,9 @@ rt::StudyId Server::submit_spec(const std::string& tenant, json::Value spec_json
   StudyInfo info;
   info.tenant = tenant;
   info.name = name;
-  info.spec_json = std::move(spec_json);
   info.paused_wanted = start_paused;
   studies_.emplace(id, std::move(info));
+  specs_.emplace(id, std::move(spec_json));
   ledger_.on_submitted(tenant);
   return id;
 }
@@ -299,7 +309,7 @@ json::Value Server::op_submit(const json::Value& request) {
     rec.set("rec", json::Value("submit"));
     rec.set("study", json::Value(static_cast<std::int64_t>(id)));
     rec.set("tenant", json::Value(tenant));
-    rec.set("spec", info.spec_json);
+    rec.set("spec", specs_.at(id));
     rec.set("paused", json::Value(info.paused_wanted));
     rec.set("ordinal", json::Value(static_cast<std::int64_t>(ordinal_)));
     if (!key.empty()) rec.set("key", json::Value(key));
@@ -335,10 +345,8 @@ json::Value Server::status_json(rt::StudyId id) const {
   tasks.set("cancelled", json::Value(static_cast<std::int64_t>(progress.cancelled)));
   row.set("tasks", tasks);
   if (terminal(status.state)) {
-    const hpo::HpoOutcome& outcome = manager_.outcome(id);
-    if (const hpo::Trial* best = outcome.best())
-      row.set("best_accuracy", json::Value(best->result.final_val_accuracy));
-    row.set("elapsed_seconds", json::Value(outcome.elapsed_seconds));
+    if (status.best_accuracy) row.set("best_accuracy", json::Value(*status.best_accuracy));
+    row.set("elapsed_seconds", json::Value(status.elapsed_seconds));
   }
   return row;
 }
@@ -403,7 +411,9 @@ json::Value Server::op_watch(ClientId client, const json::Value& request,
   } else {
     const std::optional<rt::StudyId> id = study_field(request);
     if (!id || !manager_.known(*id)) return make_error(request, "unknown study");
-    watchers_[*id].insert(client);
+    // A closed study sends no further events: the snapshot below is all
+    // the watcher gets, so there is nothing to subscribe to.
+    if (!terminal(manager_.state(*id))) watchers_[*id].insert(client);
     snapshot_ids.push_back(*id);
   }
   // Immediate state snapshot to just this client: a watch on an already
@@ -419,10 +429,11 @@ json::Value Server::op_watch(ClientId client, const json::Value& request,
 
 json::Value Server::op_unwatch(ClientId client, const json::Value& request) {
   const std::optional<rt::StudyId> id = study_field(request);
-  if (id)
-    watchers_[*id].erase(client);
-  else
+  if (!id) {
     watch_all_.erase(client);
+  } else if (const auto it = watchers_.find(*id); it != watchers_.end()) {
+    it->second.erase(client);
+  }
   return make_reply(request, true);
 }
 
@@ -565,14 +576,13 @@ void Server::disconnect(ClientId client) {
 
 bool Server::busy() const {
   if (done_) return false;
-  if (draining_) return true;
-  const service::ManagerStats stats = manager_.stats();
-  return stats.queued + stats.running + stats.inflight > 0;
+  return draining_ || !to_retire_.empty() || manager_.busy();
 }
 
 std::vector<Outbound> Server::step(double seconds) {
   std::vector<Outbound> out;
   if (done_) return out;
+  retire_closed();  // their close records were synced before the last reply
   manager_.step_for(seconds);
   drain_events(out);
   journal_.sync();  // closed-study records are durable before their events leave
@@ -586,7 +596,7 @@ std::vector<Outbound> Server::step(double seconds) {
       json::Value reply = make_reply(shutdown_request_, true);
       reply.set("drained", json::Value(true));
       std::int64_t persisted = 0;
-      for (const auto& [id, _] : studies_)
+      for (const auto& [id, _] : specs_)
         if (!terminal(manager_.state(id))) ++persisted;
       reply.set("persisted_studies", json::Value(persisted));
       out.push_back({shutdown_client_, std::move(reply)});
@@ -621,12 +631,13 @@ void Server::remember_dedup(const std::string& key, DedupEntry entry) {
 void Server::write_snapshot(bool include_paused) const {
   if (options_.state_dir.empty()) return;
   json::Array entries;
-  for (const auto& [id, info] : studies_) {
+  for (const auto& [id, spec] : specs_) {
     if (terminal(manager_.state(id))) continue;
+    const StudyInfo& info = studies_.at(id);
     json::Value entry;
     entry.set("study", json::Value(static_cast<std::int64_t>(id)));
     entry.set("tenant", json::Value(info.tenant));
-    entry.set("spec", info.spec_json);
+    entry.set("spec", spec);
     if (include_paused && info.paused_wanted) entry.set("paused", json::Value(true));
     if (!info.dedup_key.empty()) entry.set("key", json::Value(info.dedup_key));
     entries.push_back(std::move(entry));
@@ -636,8 +647,9 @@ void Server::write_snapshot(bool include_paused) const {
   // close re-applies their trials — subtracting here is what keeps the
   // meter exactly-once across a restart.
   service::TenantLedger persisted = ledger_;
-  for (const auto& [id, info] : studies_) {
+  for (const auto& [id, _] : specs_) {
     if (terminal(manager_.state(id))) continue;
+    const StudyInfo& info = studies_.at(id);
     persisted.withdraw_live(info.tenant, info.trials_counted, info.counted_delta);
   }
   json::Array ledger_rows;

@@ -114,7 +114,8 @@ class Server {
   std::vector<Outbound> step(double seconds);
 
   /// True while step() has (or may soon have) work: studies queued,
-  /// running, in flight, or a drain in progress.
+  /// running, in flight, closed studies awaiting retirement, or a drain in
+  /// progress. O(live studies).
   bool busy() const;
 
   bool draining() const { return draining_; }
@@ -134,7 +135,6 @@ class Server {
   struct StudyInfo {
     std::string tenant;
     std::string name;
-    json::Value spec_json;  ///< as admitted (checkpoint/name injected)
     std::size_t trials_counted = 0;  ///< metered live via trial events
     /// Attempt/replay meters applied live alongside trials_counted — the
     /// exactly-once close subtracts these from the study's totals.
@@ -193,6 +193,9 @@ class Server {
   /// references this lifetime's study ids).
   void recover();
   void remember_dedup(const std::string& key, DedupEntry entry);
+  /// Retire every study whose close record an earlier handle()/step()
+  /// journaled and synced (see StudyManager::retire).
+  void retire_closed();
 
   /// Manager event copied out of the tap (the Trial pointer dies with the
   /// tap call, so the fields a wire event needs are flattened here).
@@ -212,6 +215,12 @@ class Server {
   service::TenantLedger ledger_;
   StateJournal journal_;
   std::map<rt::StudyId, StudyInfo> studies_;
+  /// Spec as admitted (checkpoint/name injected) of every study not yet
+  /// retired: what snapshots persist for resubmission.
+  std::map<rt::StudyId, json::Value> specs_;
+  /// Closed studies whose close record is journaled; the next step()
+  /// retires them, after the sync that made the record durable.
+  std::vector<rt::StudyId> to_retire_;
   std::map<rt::StudyId, std::set<ClientId>> watchers_;
   std::set<ClientId> watch_all_;
   std::vector<PendingEvent> pending_;

@@ -47,7 +47,9 @@ void Engine::inject_node_event(std::size_t node, double time, bool up) {
 
 void Engine::on_submitted(TaskId task, double now) {
   TaskRecord& record = graph_.task(task);
-  ++study_counts_[record.study].submitted;
+  StudyCounters& counts = study_counts_[record.study];
+  ++counts.submitted;
+  counts.tasks.push_back(task);
   sink_.record(trace::Event{.kind = trace::EventKind::TaskSubmit,
                             .task_id = task,
                             .study = record.study,
@@ -73,7 +75,10 @@ void Engine::on_submitted_batch(const std::vector<TaskId>& tasks, double now) {
 void Engine::mark_terminal(TaskId task) {
   ++terminal_;
   TaskRecord& record = graph_.task(task);
-  ++study_counts_[record.study].terminal;
+  // find, not operator[]: a fully released study has no entry and must not
+  // regrow one (its tasks are all terminal already, so this is defensive).
+  if (const auto it = study_counts_.find(record.study); it != study_counts_.end())
+    ++it->second.terminal;
   record.terminal_seq = ++terminal_seq_;
   // Queue, don't fire: the listener may run a user callback that submits
   // new tasks — reallocating the graph's record storage and appending to
@@ -274,19 +279,52 @@ std::size_t Engine::study_terminal_count(StudyId study) const {
   return it == study_counts_.end() ? 0 : it->second.terminal;
 }
 
+const std::vector<TaskId>& Engine::study_tasks(StudyId study) const {
+  static const std::vector<TaskId> kNone;
+  const auto it = study_counts_.find(study);
+  return it == study_counts_.end() ? kNone : it->second.tasks;
+}
+
 std::size_t Engine::cancel_study(StudyId study, double now) {
   std::size_t cancelled = 0;
-  const std::size_t total = graph_.size();
-  for (TaskId id = 0; id < total; ++id) {
-    if (graph_.task(id).study != study) continue;
-    if (cancel(id, now)) ++cancelled;
-  }
+  // By index: cancel() never submits, but the vector is only borrowed.
+  const std::vector<TaskId>& tasks = study_tasks(study);
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    if (cancel(tasks[i], now)) ++cancelled;
   sink_.record(trace::Event{.kind = trace::EventKind::StudyCancel,
                             .task_id = cancelled,
                             .study = study,
                             .t_start = now,
                             .t_end = now});
   return cancelled;
+}
+
+bool Engine::release_study(StudyId study) {
+  const auto it = study_counts_.find(study);
+  if (it != study_counts_.end()) {
+    for (const TaskId id : it->second.tasks) {
+      TaskRecord& record = graph_.task(id);
+      if (record.released || record.recovering || !task_terminal(id)) continue;
+      // A consumer that may still run could demand this task's outputs
+      // through lineage recovery, which needs the body: keep it.
+      const bool live_consumer =
+          std::any_of(record.successors.begin(), record.successors.end(),
+                      [this](TaskId succ) { return !task_terminal(succ); });
+      if (live_consumer) continue;
+      record.def.body = {};
+      record.def.cost = {};
+      for (TaskVariant& variant : record.def.variants) {
+        variant.body = {};
+        variant.cost = {};
+      }
+      record.released = true;
+    }
+    if (it->second.terminal != it->second.submitted) return false;
+    study_counts_.erase(it);
+  }
+  ready_shards_.erase(study);
+  study_policies_.erase(study);
+  return true;
 }
 
 std::vector<TaskId> Engine::apply_study_policy(std::map<StudyId, std::vector<TaskId>>& runnable) {
@@ -520,7 +558,9 @@ Engine::Completion Engine::conclude_attempt(const Attempt& attempt, AttemptResul
   resources_.release(placement);
   --running_;
   --record.running_attempts;
-  --ready_shards_[record.study].running;
+  // A speculative loser can land after its study was released.
+  if (const auto shard = ready_shards_.find(record.study); shard != ready_shards_.end())
+    --shard->second.running;
   health_.on_conclusion(static_cast<std::size_t>(placement.node));
 
   sink_.record(trace::Event{.kind = trace::EventKind::TaskRun,
@@ -1007,8 +1047,13 @@ bool Engine::enqueue_recovery(TaskId producer, double now) {
   if (unrecoverable_.contains(producer)) return false;
   if (recovery_.contains(producer)) return true;
   TaskRecord& record = graph_.task(producer);
-  // Only a task that committed once has anything to replay.
+  // Only a task that committed once, and whose body was not released with
+  // its study, has anything to replay.
   if (record.state != TaskState::Done) return false;
+  if (record.released) {
+    unrecoverable_.insert(producer);
+    return false;
+  }
   recovery_.emplace(producer, RecoveryJob{.task = producer});
   record.recovering = true;
   log_info("engine", "lineage: queueing recompute of task {} '{}'", producer, record.def.name);

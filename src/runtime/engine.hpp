@@ -210,6 +210,19 @@ class Engine {
   /// Returns the number of tasks newly cancelled.
   std::size_t cancel_study(StudyId study, double now) CHPO_REQUIRES(g_engine_ctx);
 
+  /// Forget a closed study. Frees the closures of its terminal tasks with
+  /// no live (non-terminal) consumer and marks them `released`, so lineage
+  /// recovery never calls an empty body. Once every task of the study is
+  /// terminal it also drops the study's ready shard, policy and task index
+  /// and returns true; until then it returns false and the caller repeats
+  /// the call when the stragglers have landed.
+  bool release_study(StudyId study) CHPO_REQUIRES(g_engine_ctx);
+
+  /// Ids of every task submitted under `study`, in submission order (empty
+  /// once the study is released). Per-study queries walk this instead of
+  /// the whole graph.
+  const std::vector<TaskId>& study_tasks(StudyId study) const;
+
   /// Tasks submitted / terminal under `study` (per-study barrier math).
   /// Unannotated: evaluated inside backend wait predicates.
   std::size_t study_task_count(StudyId study) const;
@@ -415,10 +428,12 @@ class Engine {
   /// studies use the defaults, so the map stays empty until sessions ask
   /// for something non-default.
   std::map<StudyId, StudyPolicy> study_policies_;
-  /// Per-study submitted/terminal tallies for study_quiescent().
+  /// Per-study submitted/terminal tallies for study_quiescent(), plus the
+  /// study's task ids in submission order (the per-study task index).
   struct StudyCounters {
     std::size_t submitted = 0;
     std::size_t terminal = 0;
+    std::vector<TaskId> tasks;
   };
   std::map<StudyId, StudyCounters> study_counts_;
   /// Time-ordered membership changes not yet applied (injector timeline +

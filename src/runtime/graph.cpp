@@ -86,7 +86,7 @@ std::size_t TaskGraph::critical_path_length() const {
   return longest;
 }
 
-std::string TaskGraph::to_dot(const std::vector<Future>& synced) const {
+std::string TaskGraph::to_dot() const {
   std::ostringstream out;
   out << "digraph app {\n  rankdir=TB;\n  node [shape=circle, fontsize=10];\n";
   for (const TaskRecord& t : tasks_) {
@@ -119,13 +119,13 @@ std::string TaskGraph::to_dot(const std::vector<Future>& synced) const {
       if (!has_data_edge) out << "  t" << p << " -> t" << t.id << " [style=dashed];\n";
     }
   }
-  if (!synced.empty()) {
-    out << "  sync [shape=octagon, label=\"sync\"];\n";
-    for (const Future& f : synced) {
-      if (f.producer == kNoTask) continue;
-      out << "  t" << f.producer << " -> sync [label=\"d" << f.data << "v" << f.version
-          << "\", fontsize=8];\n";
-    }
+  bool sync_node = false;
+  for (const TaskRecord& t : tasks_) {
+    if (!t.synced) continue;
+    if (!sync_node) out << "  sync [shape=octagon, label=\"sync\"];\n";
+    sync_node = true;
+    out << "  t" << t.id << " -> sync [label=\"d" << t.result.data << "v" << t.result.version
+        << "\", fontsize=8];\n";
   }
   out << "}\n";
   return out.str();

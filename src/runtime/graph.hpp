@@ -67,6 +67,13 @@ struct TaskRecord {
   /// stamp doesn't match is stale (the task left and possibly re-entered
   /// the ready set since it was queued).
   std::uint32_t ready_epoch = 0;
+  /// A wait_on / wait_any returned this task's future: to_dot draws its
+  /// edge into the "sync" node (Figure 3).
+  bool synced = false;
+  /// Runtime::release_study freed this terminal task's closures (body,
+  /// cost, variant bodies). It can never run again, so lineage recovery
+  /// treats its outputs as unrecoverable.
+  bool released = false;
 
   const Constraint& implementation_constraint(int variant) const {
     return variant < 0 ? def.constraint
@@ -122,9 +129,9 @@ class TaskGraph {
   /// Longest path length in tasks (the critical path of the application).
   std::size_t critical_path_length() const;
 
-  /// Graphviz DOT export. Futures passed to wait_on can be marked so a
-  /// "sync" node is drawn, mirroring Figure 3.
-  std::string to_dot(const std::vector<Future>& synced = {}) const;
+  /// Graphviz DOT export. Tasks whose future a wait returned (the
+  /// `synced` flag) get an edge into a "sync" node, mirroring Figure 3.
+  std::string to_dot() const;
 
   DataRegistry& registry() { return registry_; }
   const DataRegistry& registry() const { return registry_; }

@@ -178,9 +178,17 @@ void Runtime::on_task_terminal(TaskId task, TaskState state) {
   if (completions_enabled_) completions_.push_back(task);
   // Demultiplex to the owning study's queue: this is where the engine's
   // terminal-notification funnel fans back out to sessions.
-  const auto study_it = studies_.find(graph_.task(task).study);
+  const StudyId study = graph_.task(task).study;
+  const auto study_it = studies_.find(study);
   if (study_it != studies_.end() && study_it->second.completions_enabled)
     study_it->second.completions.push_back(task);
+  // A released study's last straggler landed: drop what the engine kept.
+  // Runs inside flush_notifications, which holds the engine context behind
+  // the listener's std::function boundary.
+  if (!releasing_.empty() && releasing_.contains(study) && engine_.study_quiescent(study)) {
+    assert_engine_context();
+    if (engine_.release_study(study)) releasing_.erase(study);
+  }
   const auto it = callbacks_.find(task);
   if (it == callbacks_.end()) return;
   CompletionCallback callback = std::move(it->second);
@@ -209,7 +217,7 @@ std::any Runtime::wait_on(const Future& future) {
   if (future.producer == kNoTask) throw std::invalid_argument("wait_on: empty future");
   EngineContextScope ctx(g_engine_ctx);
   backend_->run_until(future.producer);
-  synced_.push_back(future);
+  graph_.task(future.producer).synced = true;
   sink_.record(trace::Event{.kind = trace::EventKind::Sync,
                             .task_id = future.producer,
                             .t_start = backend_->now(),
@@ -269,7 +277,7 @@ Future Runtime::wait_any(std::span<const Future> futures) {
     backend_->run_until_any(targets);
     winner = first_finished();
   }
-  synced_.push_back(*winner);
+  graph_.task(winner->producer).synced = true;
   sink_.record(trace::Event{.kind = trace::EventKind::WaitAny,
                             .task_id = winner->producer,
                             .study = graph_.task(winner->producer).study,
@@ -308,7 +316,7 @@ Future Runtime::wait_any_for(std::span<const Future> futures, double seconds) {
     winner = first_finished();
   }
   if (winner == nullptr) return Future{};  // timed out; nothing terminal
-  synced_.push_back(*winner);
+  graph_.task(winner->producer).synced = true;
   sink_.record(trace::Event{.kind = trace::EventKind::WaitAny,
                             .task_id = winner->producer,
                             .study = graph_.task(winner->producer).study,
@@ -319,11 +327,9 @@ Future Runtime::wait_any_for(std::span<const Future> futures, double seconds) {
 
 StudyProgress Runtime::study_progress(StudyId study) const {
   StudyProgress progress;
-  for (TaskId id = 0; id < graph_.size(); ++id) {
-    const TaskRecord& record = graph_.task(id);
-    if (record.study != study) continue;
+  for (const TaskId id : engine_.study_tasks(study)) {
     ++progress.total;
-    switch (record.state) {
+    switch (graph_.task(id).state) {
       case TaskState::WaitingDeps: ++progress.waiting; break;
       case TaskState::Ready: ++progress.ready; break;
       case TaskState::Running: ++progress.running; break;
@@ -333,6 +339,20 @@ StudyProgress Runtime::study_progress(StudyId study) const {
     }
   }
   return progress;
+}
+
+void Runtime::release_study(StudyId study) {
+  if (study == kMainStudy)
+    throw std::invalid_argument("Runtime: the main study cannot be released");
+  study_info(study);  // validate
+  EngineContextScope ctx(g_engine_ctx);
+  studies_.erase(study);
+  // Whatever the study still has outstanding must be able to drain (the
+  // destructor's final barrier no longer sees the id to unpause it).
+  engine_.set_study_paused(study, false);
+  // Attempts a kill abandoned may still be running: the engine keeps the
+  // study's index until they land, and on_task_terminal finishes the job.
+  if (!engine_.release_study(study)) releasing_.insert(study);
 }
 
 bool Runtime::wait_all_for(double seconds) {

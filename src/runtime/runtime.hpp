@@ -25,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -62,9 +63,9 @@ struct StudyOptions {
 class StudySession;
 
 /// Point-in-time task census of one study — the progress snapshot behind a
-/// service `status` reply. Computed by an O(tasks) graph scan; the graph is
-/// append-only so the scan is safe whenever the coordinator is not inside
-/// an engine mutation.
+/// service `status` reply. Computed from the engine's per-study task index
+/// in O(the study's tasks), whenever the coordinator is not inside an
+/// engine mutation.
 struct StudyProgress {
   std::size_t total = 0;  ///< tasks ever submitted under this study
   std::size_t waiting = 0;
@@ -148,8 +149,20 @@ class Runtime {
   /// Label given to `study` at open_study time ("main" for kMainStudy).
   const std::string& study_name(StudyId study) const;
 
-  /// Per-state task counts for one study (see StudyProgress).
+  /// Per-state task counts for one study (see StudyProgress). All zero for
+  /// a released study.
   StudyProgress study_progress(StudyId study) const;
+
+  /// Forget a closed study: free the closures (body, cost, variants) of its
+  /// terminal tasks that no live task consumes, drop its ready shard, its
+  /// policy and its task index, and unregister the id (submitting into it
+  /// or asking for its name throws afterwards). The graph keeps the records
+  /// themselves, so futures, values and the DOT export stay valid; a
+  /// lineage demand on a freed task fails its consumer with
+  /// TaskFailedError. Attempts a kill abandoned may still be running: the
+  /// rest of the release happens when they land. Throws for kMainStudy or
+  /// an unknown id.
+  void release_study(StudyId study);
 
   /// Submit a task over the given parameters; returns the future of the
   /// body's return value. Dependencies are derived from param directions.
@@ -275,8 +288,8 @@ class Runtime {
   bool simulated() const { return options_.simulate; }
 
   /// Graphviz DOT of the dependency graph; includes a sync node for every
-  /// future passed to wait_on so far (Figure 3 style).
-  std::string graph_dot() const { return graph_.to_dot(synced_); }
+  /// future a wait returned so far (Figure 3 style).
+  std::string graph_dot() const { return graph_.to_dot(); }
 
   const trace::TraceSink& trace() const { return sink_; }
   trace::TraceSink& trace() { return sink_; }
@@ -339,7 +352,6 @@ class Runtime {
   trace::TraceSink sink_;
   Engine engine_;
   std::unique_ptr<Backend> backend_;
-  std::vector<Future> synced_;
   std::map<std::string, std::vector<TaskId>> groups_;
   /// Terminal notifications not yet consumed via drain_completions().
   /// Only touched from the coordinator thread (the engine's threading
@@ -351,6 +363,9 @@ class Runtime {
   std::map<TaskId, CompletionCallback> callbacks_;
   /// Open studies by id; kMainStudy ("main") is registered at construction.
   std::map<StudyId, StudyInfo> studies_;
+  /// Released studies whose abandoned attempts are still running (see
+  /// release_study); emptied as those attempts land.
+  std::set<StudyId> releasing_;
   StudyId next_study_ = kMainStudy + 1;
 };
 

@@ -88,18 +88,19 @@ bool ThreadBackend::drive(const std::function<bool()>& finished, double deadline
         continue;
       }
       if (finished()) return true;
-      if (wake) {
-        // Nothing can complete before the wakeup: just sleep up to it.
-        double until = *wake;
-        const bool deadline_first = deadline >= 0.0 && deadline <= until;
-        if (deadline_first) until = deadline;
-        const double seconds = until - now();
-        if (seconds > 0.0)
-          std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-        if (deadline_first) return false;
-        continue;
-      }
-      throw std::runtime_error("ThreadBackend: no runnable tasks but target not finished");
+      // Nothing can complete before the wakeup (or, with no wakeup, before
+      // some caller changes the picture — e.g. resumes a paused study):
+      // sleep up to the wakeup or the deadline, whichever is first. Only
+      // an unbounded wait with nothing pending is a genuine deadlock.
+      if (!wake && deadline < 0.0)
+        throw std::runtime_error("ThreadBackend: no runnable tasks but target not finished");
+      double until = wake ? *wake : deadline;
+      const bool deadline_first = deadline >= 0.0 && deadline <= until;
+      if (deadline_first) until = deadline;
+      const double seconds = until - now();
+      if (seconds > 0.0) std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+      if (deadline_first) return false;
+      continue;
     }
 
     batch.clear();

@@ -40,13 +40,14 @@ rt::StudyId StudyManager::submit(StudySpec spec) {
   const rt::StudyId id = session.id();
   records_.emplace(id, std::move(record));
   order_.push_back(id);
+  live_.insert(id);
   return id;
 }
 
 std::size_t StudyManager::active_count() const {
   std::size_t n = 0;
-  for (const auto& [_, record] : records_)
-    if (record.state == StudyState::Running || record.state == StudyState::Paused) ++n;
+  for (const rt::StudyId id : live_)
+    if (records_.at(id).state != StudyState::Queued) ++n;
   return n;
 }
 
@@ -101,9 +102,16 @@ void StudyManager::start(Record& record) {
     finish(record);  // e.g. fully replayed from checkpoint
 }
 
+void StudyManager::close(Record& record, StudyState state) {
+  record.state = state;
+  live_.erase(record.session.id());
+  ++(state == StudyState::Finished ? closed_finished_ : closed_killed_);
+  closed_trials_ += record.outcome.trials.size();
+}
+
 void StudyManager::finish(Record& record) {
   record.outcome = record.pump->finish();
-  record.state = StudyState::Finished;
+  close(record, StudyState::Finished);
   log_info("service", "study {} '{}' finished: {} trials, best {:.3f}", record.session.id(),
            record.session.name(), record.outcome.trials.size(),
            record.outcome.best() ? record.outcome.best()->result.final_val_accuracy : 0.0);
@@ -112,10 +120,14 @@ void StudyManager::finish(Record& record) {
 
 void StudyManager::admit() {
   if (admission_paused_) return;
-  for (const rt::StudyId id : order_) {
-    if (options_.max_active > 0 && active_count() >= options_.max_active) break;
-    Record& record = records_.at(id);
-    if (record.state == StudyState::Queued) start(record);
+  std::size_t active = active_count();
+  for (auto it = live_.begin(); it != live_.end();) {
+    if (options_.max_active > 0 && active >= options_.max_active) break;
+    // Advance first: start() may finish the study and erase it from live_.
+    Record& record = records_.at(*it++);
+    if (record.state != StudyState::Queued) continue;
+    start(record);
+    if (record.state == StudyState::Running || record.state == StudyState::Paused) ++active;
   }
 }
 
@@ -125,9 +137,11 @@ std::vector<rt::Future> StudyManager::collect_inflight() const {
   // running when the pause landed finishes and commits (pause holds the
   // *ready* queue, it never aborts work).
   std::vector<rt::Future> futures;
-  for (const auto& [_, record] : records_)
-    if (record.state == StudyState::Running || record.state == StudyState::Paused)
+  for (const rt::StudyId id : live_) {
+    const Record& record = records_.at(id);
+    if (record.state != StudyState::Queued)
       for (const rt::Future& f : record.pump->inflight()) futures.push_back(f);
+  }
   return futures;
 }
 
@@ -156,11 +170,10 @@ bool StudyManager::step() {
   if (futures.empty()) {
     // Nothing in flight anywhere. Running studies with no futures are
     // drained state machines that never went inactive — a pump bug.
-    for (auto& [_, record] : records_)
-      if (record.state == StudyState::Running && !record.pump->active()) finish(record);
+    finish_drained();
     bool queued = false;
-    for (const auto& [_, record] : records_)
-      if (record.state == StudyState::Queued) queued = true;
+    for (const rt::StudyId id : live_)
+      if (records_.at(id).state == StudyState::Queued) queued = true;
     return queued;  // paused-only fleets park here; resume() + step() continues
   }
 
@@ -173,18 +186,9 @@ StudyManager::StepOutcome StudyManager::step_for(double seconds) {
 
   const std::vector<rt::Future> futures = collect_inflight();
   if (futures.empty()) {
-    bool progressed = false;
-    for (auto& [_, record] : records_)
-      if (record.state == StudyState::Running && !record.pump->active()) {
-        finish(record);
-        progressed = true;
-      }
-    if (progressed) return StepOutcome::Progress;
-    for (const auto& [_, record] : records_)
-      if (record.state == StudyState::Queued || record.state == StudyState::Running ||
-          record.state == StudyState::Paused)
-        return StepOutcome::Idle;  // parked: paused fleet, or admission gated
-    return StepOutcome::Drained;
+    if (finish_drained()) return StepOutcome::Progress;
+    // Anything still live is parked: a paused fleet, or admission gated.
+    return live_.empty() ? StepOutcome::Drained : StepOutcome::Idle;
   }
 
   const rt::Future finished = runtime_.wait_any_for(futures, seconds);
@@ -194,19 +198,40 @@ StudyManager::StepOutcome StudyManager::step_for(double seconds) {
 }
 
 void StudyManager::run_all() {
-  while (true) {
-    bool any_runnable = false;
-    for (const auto& [_, record] : records_)
-      if (record.state == StudyState::Queued || record.state == StudyState::Running ||
-          (record.state == StudyState::Paused && !record.pump->inflight().empty()))
-        any_runnable = true;
-    if (!any_runnable) return;
-    step();
+  while (busy()) step();
+}
+
+bool StudyManager::finish_drained() {
+  bool finished = false;
+  for (auto it = live_.begin(); it != live_.end();) {
+    Record& record = records_.at(*it++);  // advance first: finish() erases
+    if (record.state == StudyState::Running && !record.pump->active()) {
+      finish(record);
+      finished = true;
+    }
   }
+  return finished;
+}
+
+bool StudyManager::busy() const {
+  for (const rt::StudyId id : live_) {
+    const Record& record = records_.at(id);
+    if (record.state != StudyState::Paused || !record.pump->inflight().empty()) return true;
+  }
+  return false;
+}
+
+StudyManager::Record* StudyManager::record_for(rt::StudyId id) {
+  const auto it = records_.find(id);
+  if (it != records_.end()) return &it->second;
+  if (retired_.count(id) != 0) return nullptr;  // closed for good: nothing to do
+  throw std::out_of_range("StudyManager: unknown study " + std::to_string(id));
 }
 
 void StudyManager::pause(rt::StudyId id) {
-  Record& record = records_.at(id);
+  Record* found = record_for(id);
+  if (found == nullptr) return;
+  Record& record = *found;
   if (record.state == StudyState::Queued) {
     record.start_paused = true;  // admit() starts the study paused
     return;
@@ -219,7 +244,9 @@ void StudyManager::pause(rt::StudyId id) {
 }
 
 void StudyManager::resume(rt::StudyId id) {
-  Record& record = records_.at(id);
+  Record* found = record_for(id);
+  if (found == nullptr) return;
+  Record& record = *found;
   if (record.state == StudyState::Queued) {
     record.start_paused = false;
     return;
@@ -234,11 +261,13 @@ void StudyManager::resume(rt::StudyId id) {
 }
 
 void StudyManager::kill(rt::StudyId id) {
-  Record& record = records_.at(id);
+  Record* found = record_for(id);
+  if (found == nullptr) return;
+  Record& record = *found;
   if (record.state == StudyState::Finished || record.state == StudyState::Killed) return;
   if (record.state == StudyState::Paused) record.session.resume();
   if (record.state == StudyState::Queued) {
-    record.state = StudyState::Killed;
+    close(record, StudyState::Killed);
     emit(StudyEvent::Kind::StateChanged, id, record);
     return;
   }
@@ -248,16 +277,21 @@ void StudyManager::kill(rt::StudyId id) {
   // tasks, stage chains) the pump only holds indirectly.
   const std::size_t swept = record.session.cancel_all();
   record.outcome = record.pump->finish();
-  record.state = StudyState::Killed;
+  close(record, StudyState::Killed);
   log_info("service", "study {} '{}' killed ({} tasks cancelled, {} trials kept)", id,
            record.session.name(), swept, record.outcome.trials.size());
   emit(StudyEvent::Kind::StateChanged, id, record);
 }
 
-StudyState StudyManager::state(rt::StudyId id) const { return records_.at(id).state; }
+StudyState StudyManager::state(rt::StudyId id) const {
+  const auto it = records_.find(id);
+  return it != records_.end() ? it->second.state : retired_.at(id).status.state;
+}
 
 StudyStatus StudyManager::status(rt::StudyId id) const {
-  const Record& record = records_.at(id);
+  const auto it = records_.find(id);
+  if (it == records_.end()) return retired_.at(id).status;
+  const Record& record = it->second;
   StudyStatus s;
   s.id = id;
   s.name = record.session.name();
@@ -269,26 +303,54 @@ StudyStatus StudyManager::status(rt::StudyId id) const {
     s.trials_done = record.pump->trials_done();
   else
     s.trials_done = record.outcome.trials.size();
+  if (record.state == StudyState::Finished || record.state == StudyState::Killed) {
+    if (const hpo::Trial* best = record.outcome.best())
+      s.best_accuracy = best->result.final_val_accuracy;
+    s.elapsed_seconds = record.outcome.elapsed_seconds;
+  }
   return s;
+}
+
+rt::StudyProgress StudyManager::progress(rt::StudyId id) const {
+  if (records_.count(id) != 0) return runtime_.study_progress(id);
+  return retired_.at(id).tasks;
+}
+
+void StudyManager::retire(rt::StudyId id) {
+  const auto it = records_.find(id);
+  if (it == records_.end()) {
+    if (retired_.count(id) != 0) return;
+    throw std::out_of_range("StudyManager: unknown study " + std::to_string(id));
+  }
+  const StudyState state = it->second.state;
+  if (state != StudyState::Finished && state != StudyState::Killed)
+    throw std::logic_error("StudyManager::retire: study " + std::to_string(id) + " is still " +
+                           study_state_name(state));
+  // Snapshot before the release: the census and the name come from the
+  // Runtime, which forgets the study below.
+  retired_.emplace(id, Retired{.status = status(id), .tasks = runtime_.study_progress(id)});
+  records_.erase(it);  // pump, algorithm, spec and trial list go here
+  runtime_.release_study(id);
 }
 
 ManagerStats StudyManager::stats() const {
   ManagerStats stats;
-  stats.total_studies = records_.size();
-  for (const auto& [_, record] : records_) {
+  stats.total_studies = order_.size();
+  stats.finished = closed_finished_;
+  stats.killed = closed_killed_;
+  stats.trials_done = closed_trials_;
+  for (const rt::StudyId id : live_) {
+    const Record& record = records_.at(id);
     switch (record.state) {
       case StudyState::Queued: ++stats.queued; break;
       case StudyState::Running: ++stats.running; break;
       case StudyState::Paused: ++stats.paused; break;
-      case StudyState::Finished: ++stats.finished; break;
-      case StudyState::Killed: ++stats.killed; break;
+      case StudyState::Finished:
+      case StudyState::Killed: break;  // never live
     }
-    if ((record.state == StudyState::Running || record.state == StudyState::Paused) &&
-        record.pump) {
+    if (record.pump) {
       stats.trials_done += record.pump->trials_done();
       stats.inflight += record.pump->inflight().size();
-    } else {
-      stats.trials_done += record.outcome.trials.size();
     }
   }
   stats.completions_routed = routed_;
@@ -299,7 +361,15 @@ ManagerStats StudyManager::stats() const {
 std::vector<rt::StudyId> StudyManager::studies() const { return order_; }
 
 const hpo::HpoOutcome& StudyManager::outcome(rt::StudyId id) const {
-  const Record& record = records_.at(id);
+  const auto it = records_.find(id);
+  if (it == records_.end()) {
+    if (retired_.count(id) != 0)
+      throw std::logic_error("StudyManager::outcome: study " + std::to_string(id) +
+                             " was retired; its outcome was released (status() keeps the "
+                             "summary)");
+    throw std::out_of_range("StudyManager: unknown study " + std::to_string(id));
+  }
+  const Record& record = it->second;
   if (record.state != StudyState::Finished && record.state != StudyState::Killed)
     throw std::logic_error("StudyManager::outcome: study " + std::to_string(id) +
                            " is still " + study_state_name(record.state));

@@ -26,6 +26,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -85,6 +87,10 @@ struct StudyStatus {
   /// Trials recorded so far: live (pump-side) while Running/Paused, final
   /// (outcome-side) once Finished/Killed.
   std::size_t trials_done = 0;
+  /// Once Finished/Killed: the best trial's final validation accuracy
+  /// (absent when no trial succeeded) and the study's elapsed seconds.
+  std::optional<double> best_accuracy;
+  double elapsed_seconds = 0.0;
 };
 
 /// Structured lifecycle counters across the whole fleet — the daemon's
@@ -164,19 +170,35 @@ class StudyManager {
   /// The partial outcome (trials consumed so far) is kept.
   void kill(rt::StudyId id);
 
+  /// The queries below accept retired studies too (see retire()); an
+  /// unknown id throws std::out_of_range.
   StudyState state(rt::StudyId id) const;
   StudyStatus status(rt::StudyId id) const;
+  /// Every study ever submitted, retired ones included, in submission order.
   std::vector<rt::StudyId> studies() const;
-  bool known(rt::StudyId id) const { return records_.count(id) != 0; }
+  bool known(rt::StudyId id) const { return records_.count(id) != 0 || retired_.count(id) != 0; }
 
-  /// Fleet-wide lifecycle counters (see ManagerStats).
+  /// Fleet-wide lifecycle counters (see ManagerStats). O(live studies).
   ManagerStats stats() const;
 
-  /// Per-state task counts of one study from the engine's graph — the
-  /// daemon `status` reply pairs this with the pump-side trial count.
-  rt::StudyProgress progress(rt::StudyId id) const {
-    return runtime_.study_progress(records_.at(id).session.id());
-  }
+  /// True while step() has work: a study queued or running, or trials in
+  /// flight (a paused study's included). O(live studies) — the daemon's
+  /// coordinator asks on every loop.
+  bool busy() const;
+
+  /// Per-state task counts of one study from the engine's per-study task
+  /// index — the daemon `status` reply pairs this with the pump-side trial
+  /// count. A retired study answers with its census at retirement.
+  rt::StudyProgress progress(rt::StudyId id) const;
+
+  /// Retire a Finished/Killed study: replace its full record (pump,
+  /// algorithm, spec, outcome trial list) with its final StudyStatus and
+  /// task census, and release the study in the Runtime (see
+  /// Runtime::release_study). state/status/progress/known/stats keep
+  /// answering with unchanged values; outcome() throws. A no-op for an
+  /// already retired study; throws std::logic_error for a live one.
+  void retire(rt::StudyId id);
+  bool retired(rt::StudyId id) const { return retired_.count(id) != 0; }
 
   /// Register (or clear, with nullptr) the lifecycle event tap. Fired on
   /// the coordinator thread from inside submit/step/pause/resume/kill; the
@@ -190,8 +212,8 @@ class StudyManager {
   void set_admission_paused(bool paused) { admission_paused_ = paused; }
   bool admission_paused() const { return admission_paused_; }
 
-  /// Final (or partial, if Killed) outcome; throws unless the study is
-  /// Finished or Killed.
+  /// Final (or partial, if Killed) outcome; throws std::logic_error unless
+  /// the study is Finished or Killed and not yet retired.
   const hpo::HpoOutcome& outcome(rt::StudyId id) const;
 
   /// Completions that arrived tagged with a study whose pump did not
@@ -218,9 +240,21 @@ class StudyManager {
     bool start_paused = false;
   };
 
+  /// What a retired study keeps: its final status and task census.
+  struct Retired {
+    StudyStatus status;
+    rt::StudyProgress tasks;
+  };
+
   void admit();
   void start(Record& record);
   void finish(Record& record);
+  /// Bookkeeping shared by finish and kill: leave the live set, tally.
+  void close(Record& record, StudyState state);
+  /// Finish every Running study whose pump went inactive; true if any did.
+  bool finish_drained();
+  /// The full record of `id`; nullptr once retired; throws if unknown.
+  Record* record_for(rt::StudyId id);
   std::size_t active_count() const;
   /// Route one wait_any winner to its owning pump (or count a leak).
   void route(const rt::Future& finished);
@@ -231,8 +265,17 @@ class StudyManager {
   ManagerOptions options_;
   const ml::Dataset& dataset_;
   rt::Runtime runtime_;
+  /// Full records: live studies plus closed ones not yet retired.
   std::map<rt::StudyId, Record> records_;
-  std::vector<rt::StudyId> order_;  ///< submission order (admission + reports)
+  std::map<rt::StudyId, Retired> retired_;
+  std::vector<rt::StudyId> order_;  ///< submission order (reports, list)
+  /// Queued/Running/Paused ids. Ids ascend with submission, so this is
+  /// submission order too; every per-step loop walks it, not records_.
+  std::set<rt::StudyId> live_;
+  /// Running tallies over closed (Finished/Killed) studies for stats().
+  std::size_t closed_finished_ = 0;
+  std::size_t closed_killed_ = 0;
+  std::size_t closed_trials_ = 0;
   std::size_t leaked_ = 0;
   std::uint64_t routed_ = 0;
   bool admission_paused_ = false;

@@ -653,6 +653,159 @@ TEST(DaemonServer, StudyDrainedMidFlightReplaysAndCountsExactlyOnce) {
 }
 
 // ---------------------------------------------------------------------------
+// Paused-only fleets and study retirement
+// ---------------------------------------------------------------------------
+
+TEST(DaemonServer, StepReturnsWhenTheOnlyRunningStudyIsPausedOnThreads) {
+  // Thread backend, one slot: pausing leaves the study's queued trials as
+  // the only outstanding work. step() must come back after its slice
+  // instead of failing with "no runnable tasks".
+  const ml::Dataset dataset = ml::make_mnist_like(60, 20, 21);
+  daemon::ServerOptions options;
+  cluster::NodeSpec node;
+  node.name = "t";
+  node.cpus = 1;
+  options.manager.runtime.cluster = cluster::homogeneous(1, node);
+  options.defaults.driver.epoch_divisor = 10;
+  daemon::Server server(std::move(options), dataset);
+  json::Value request = submit_request("alice", "random", 3);
+  json::Value spec = request.at("spec");
+  spec.set("epoch_cap", json::Value(std::int64_t{1}));
+  request.set("spec", spec);
+  const json::Value submitted = reply_of(server.handle(1, request));
+  ASSERT_TRUE(reply_ok(submitted));
+  const std::int64_t id = submitted.at("study").as_int();
+
+  server.step(0.01);  // admit: one trial runs, two wait for the slot
+  ASSERT_TRUE(reply_ok(reply_of(server.handle(1, op_request("pause", id)))));
+  for (int i = 0; i < 40; ++i) EXPECT_NO_THROW(server.step(0.05));
+  const json::Value status = reply_of(server.handle(1, op_request("status", id)));
+  EXPECT_EQ(status.at("state").as_string(), "paused");
+  EXPECT_LT(status.at("trials_done").as_int(), 3);
+
+  ASSERT_TRUE(reply_ok(reply_of(server.handle(1, op_request("resume", id)))));
+  for (int i = 0; i < 2000 && server.busy(); ++i) server.step(0.05);
+  const json::Value done = reply_of(server.handle(1, op_request("status", id)));
+  EXPECT_EQ(done.at("state").as_string(), "finished");
+  EXPECT_EQ(done.at("trials_done").as_int(), 3);
+  EXPECT_EQ(server.manager().leaked_completions(), 0u);
+}
+
+TEST(DaemonServer, SoakRetiresClosedStudiesAndKeepsTheirRowsAndLedger) {
+  const fs::path state_dir = fresh_state_dir("soak");
+  const ml::Dataset dataset = ml::make_mnist_like(24, 8, 22);
+  daemon::ServerOptions options = sim_options();
+  options.defaults.driver.epoch_divisor = 3;  // one real epoch per trial body
+  options.state_dir = state_dir.string();
+  options.journal_compact_every = 64;  // several compactions along the way
+  options.fsync = false;  // durability order is covered by the crash tests
+  constexpr int kStudies = 200;
+
+  std::map<std::string, service::TenantStats> ledger_before;
+  {
+    daemon::Server server(options, dataset);
+    // The last row each study showed while its full record still existed.
+    std::map<std::int64_t, json::Value> last_full_row;
+    std::set<std::int64_t> unretired;
+    const auto observe = [&] {
+      for (auto it = unretired.begin(); it != unretired.end();) {
+        if (server.manager().retired(static_cast<rt::StudyId>(*it))) {
+          it = unretired.erase(it);
+          continue;
+        }
+        last_full_row[*it] = reply_of(server.handle(9, op_request("status", *it)));
+        ++it;
+      }
+    };
+
+    std::vector<std::int64_t> ids;
+    std::size_t kills_acked = 0;
+    for (int i = 0; i < kStudies; ++i) {
+      const std::string tenant = "tenant-" + std::to_string(i % 3);
+      const json::Value reply = reply_of(server.handle(
+          1, submit_request(tenant, i % 2 == 0 ? "random" : "grid", 2 + i % 2, i)));
+      ASSERT_TRUE(reply_ok(reply));
+      ids.push_back(reply.at("study").as_int());
+      unretired.insert(ids.back());
+      if (i % 4 == 1) {  // killed while still queued
+        kills_acked += reply_ok(reply_of(server.handle(1, op_request("kill", ids.back()))));
+      }
+      if (i % 4 == 3) {  // killed a few steps after submission, if still live
+        kills_acked += reply_ok(reply_of(server.handle(1, op_request("kill", ids[i - 3]))));
+      }
+      observe();
+      server.step(30.0);
+      observe();
+    }
+    while (server.busy()) {
+      server.step(1e6);
+      observe();
+    }
+    EXPECT_GE(kills_acked, static_cast<std::size_t>(kStudies) / 3);
+
+    // Full records exist only for live studies: none are live, and every
+    // study is retired (checked row by row below).
+    const service::ManagerStats stats = server.manager().stats();
+    EXPECT_EQ(stats.queued + stats.running + stats.paused, 0u);
+    EXPECT_EQ(stats.finished + stats.killed, static_cast<std::size_t>(kStudies));
+    EXPECT_EQ(stats.killed, kills_acked);
+
+    // Every retired row reads exactly as it did before retirement.
+    const json::Value list = reply_of(server.handle(1, op_request("list")));
+    const json::Array& rows = list.at("studies").as_array();
+    ASSERT_EQ(rows.size(), static_cast<std::size_t>(kStudies));
+    std::size_t trials_listed = 0;
+    for (const json::Value& row : rows) {
+      const std::int64_t id = row.at("study").as_int();
+      ASSERT_TRUE(server.manager().retired(static_cast<rt::StudyId>(id)));
+      // A closed study still holding its full record would hand out its
+      // outcome; a retired one refuses.
+      EXPECT_THROW(server.manager().outcome(static_cast<rt::StudyId>(id)), std::logic_error);
+      ASSERT_EQ(last_full_row.count(id), 1u) << "study " << id << " never observed unretired";
+      const json::Value& before = last_full_row.at(id);
+      for (const char* field :
+           {"name", "tenant", "algorithm", "state", "trials_done", "elapsed_seconds", "tasks"})
+        EXPECT_EQ(json::serialize(row.at(field)), json::serialize(before.at(field)))
+            << "study " << id << " field " << field;
+      EXPECT_EQ(row.contains("best_accuracy"), before.contains("best_accuracy"));
+      if (row.contains("best_accuracy")) {
+        EXPECT_EQ(row.at("best_accuracy").as_double(), before.at("best_accuracy").as_double());
+      }
+      EXPECT_TRUE(row.at("state").as_string() == "finished" ||
+                  row.at("state").as_string() == "killed");
+      trials_listed += static_cast<std::size_t>(row.at("trials_done").as_int());
+    }
+
+    // The ledger's trials equal the sum over `list`.
+    std::size_t trials_ledger = 0;
+    for (const std::string& tenant : server.ledger().tenants()) {
+      ledger_before[tenant] = server.ledger().stats(tenant);
+      trials_ledger += ledger_before[tenant].trials_completed;
+    }
+    EXPECT_EQ(trials_ledger, trials_listed);
+    EXPECT_EQ(server.manager().leaked_completions(), 0u);
+    EXPECT_EQ(server.manager().lineage_violations(), 0u);
+  }
+
+  // A restart from the state dir recovers the same ledger.
+  daemon::Server restarted(options, dataset);
+  ASSERT_EQ(restarted.ledger().tenants().size(), ledger_before.size());
+  for (const auto& [tenant, want] : ledger_before) {
+    const service::TenantStats got = restarted.ledger().stats(tenant);
+    EXPECT_EQ(got.studies_submitted, want.studies_submitted) << tenant;
+    EXPECT_EQ(got.studies_active, 0u) << tenant;
+    EXPECT_EQ(got.studies_finished, want.studies_finished) << tenant;
+    EXPECT_EQ(got.studies_killed, want.studies_killed) << tenant;
+    EXPECT_EQ(got.trials_completed, want.trials_completed) << tenant;
+    EXPECT_EQ(got.task_attempts, want.task_attempts) << tenant;
+    EXPECT_NEAR(got.engine_seconds, want.engine_seconds, 1e-6 * (1.0 + want.engine_seconds))
+        << tenant;
+  }
+  EXPECT_FALSE(restarted.busy());
+  fs::remove_all(state_dir);
+}
+
+// ---------------------------------------------------------------------------
 // SocketDaemon end-to-end over a real Unix socket
 // ---------------------------------------------------------------------------
 

@@ -88,7 +88,8 @@ TEST(TaskGraph, DotExportContainsVersionLabels) {
   const TaskId producer = graph.add_task(named("experiment"), {});
   const Future f = graph.task(producer).result;
   graph.add_task(named("visualisation"), {{f.data, Direction::In}});
-  const std::string dot = graph.to_dot({f});
+  graph.task(producer).synced = true;  // as a wait on `f` would
+  const std::string dot = graph.to_dot();
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   // Data edge labelled d{datum}v{version}, as in the paper's Figure 3.
   EXPECT_NE(dot.find("d" + std::to_string(f.data) + "v1"), std::string::npos);

@@ -281,6 +281,61 @@ TEST(HotPathStdFunction, AllowsColdMethodsAndOtherFiles) {
 }
 
 // ---------------------------------------------------------------------------
+// full-graph-scan
+// ---------------------------------------------------------------------------
+
+TEST(FullGraphScan, FlagsWholeGraphLoopsInRuntimeServiceAndDaemon) {
+  const auto findings = lint_files(
+      {{"src/runtime/runtime.cpp",
+        "StudyProgress Runtime::study_progress(StudyId study) const {\n"
+        "  for (TaskId id = 0; id < graph_.size(); ++id) count(id);\n"
+        "}\n"},
+       {"src/runtime/engine.cpp",
+        "std::size_t Engine::cancel_study(StudyId study, double now) {\n"
+        "  const std::size_t total = graph_.size();\n"
+        "  for (TaskId id = 0;\n"
+        "       id < total;\n"
+        "       ++id) cancel(id, now);\n"
+        "}\n"},
+       {"src/service/study_manager.cpp",
+        "void StudyManager::sweep() {\n"
+        "  for (rt::TaskId t = 0; t < runtime_.graph().size(); ++t) route(t);\n"
+        "}\n"},
+       {"src/daemon/server.cpp",
+        "void Server::scan() { for (rt::TaskId t{0}; t < graph_->size(); t++) {} }\n"}});
+  const auto hits = of_rule(findings, "full-graph-scan");
+  ASSERT_EQ(hits.size(), 4u);
+  EXPECT_EQ(hits[0].file, "src/daemon/server.cpp");
+  EXPECT_EQ(hits[1].line, 3);  // the `for` line of the multi-line header
+  EXPECT_NE(hits[1].message.find("cancel_study"), std::string::npos);
+  EXPECT_NE(hits[2].message.find("study_progress"), std::string::npos);
+}
+
+TEST(FullGraphScan, AllowsDotExportDebugAssertsIndexWalksAndOtherLayers) {
+  const auto findings = lint_files(
+      {{"src/runtime/graph.cpp",
+        "std::string TaskGraph::to_dot() const {\n"
+        "  for (TaskId id = 0; id < graph_.size(); ++id) draw(id);\n"
+        "}\n"},
+       {"src/runtime/engine.cpp",
+        "bool Engine::check_quiescent_invariant() const {\n"
+        "  for (TaskId id = 0; id < graph_.size(); ++id) assert(terminal(id));\n"
+        "}\n"
+        "std::size_t Engine::cancel_study(StudyId study, double now) {\n"
+        "  for (const TaskId id : study_tasks(study)) cancel(id, now);\n"
+        "  for (std::size_t node = 0; node < resources_.node_count(); ++node) poke(node);\n"
+        "  for (std::size_t i = 0; i < graph_.size(); ++i) count(i);\n"
+        "  const std::size_t tasks = study_tasks(study).size();\n"
+        "  for (TaskId id = 0; id < tasks; ++id) count(id);\n"
+        "}\n"},
+       {"src/trace/analysis.cpp",
+        "void Analysis::build() { for (TaskId id = 0; id < graph_.size(); ++id) {} }\n"},
+       {"src/runtime/runtime.cpp",
+        "// for (TaskId id = 0; id < graph_.size(); ++id) was the old scan\n"}});
+  EXPECT_TRUE(of_rule(findings, "full-graph-scan").empty());
+}
+
+// ---------------------------------------------------------------------------
 // registry-lock-blocking-call
 // ---------------------------------------------------------------------------
 

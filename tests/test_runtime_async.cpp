@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "runtime/runtime.hpp"
+#include "runtime/study_session.hpp"
 
 namespace chpo::rt {
 namespace {
@@ -228,6 +229,25 @@ TEST(WaitAllFor, ThreadBackendHonoursWallDeadline) {
   runtime.submit(sleepy);
   EXPECT_FALSE(runtime.wait_all_for(0.02));
   EXPECT_TRUE(runtime.wait_all_for(30.0));
+}
+
+TEST(WaitAnyFor, PausedOnlyStudyTimesOutOnBothBackends) {
+  // The only outstanding task is held by a paused study: nothing runs and
+  // nothing can be placed. A bounded wait must time out with an empty
+  // future (the daemon's step slice relies on it), not report a deadlock.
+  for (const bool simulate : {true, false}) {
+    SCOPED_TRACE(simulate ? "sim" : "threads");
+    Runtime runtime(simulate ? sim_cluster(1, 4) : thread_cluster(2));
+    StudySession held = runtime.open_study({.name = "held"});
+    held.pause();
+    const Future f = held.submit(timed("held", 1.0));
+    const double before = runtime.now();
+    EXPECT_EQ(runtime.wait_any_for(std::vector<Future>{f}, 0.05).producer, kNoTask);
+    EXPECT_GE(runtime.now() - before, 0.05 - 1e-9);
+    EXPECT_EQ(held.progress().ready, 1u);
+    held.resume();
+    EXPECT_EQ(runtime.wait_any_for(std::vector<Future>{f}, 30.0).producer, f.producer);
+  }
 }
 
 TEST(Callbacks, FireOnCompletionWithFinalState) {

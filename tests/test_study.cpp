@@ -8,9 +8,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -20,6 +23,7 @@
 #include "runtime/runtime.hpp"
 #include "runtime/study_session.hpp"
 #include "service/study_manager.hpp"
+#include "support/rng.hpp"
 
 namespace chpo {
 namespace {
@@ -168,6 +172,208 @@ TEST(StudySession, MaxRunningQuotaCapsConcurrency) {
       if (s <= start && start < t) ++concurrent;
     EXPECT_LE(concurrent, 2) << "quota of 2 exceeded at t=" << start;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Per-study task index and study release
+// ---------------------------------------------------------------------------
+
+bool is_terminal(rt::TaskState state) {
+  return state == rt::TaskState::Done || state == rt::TaskState::Failed ||
+         state == rt::TaskState::Cancelled;
+}
+
+/// Brute-force oracle for Runtime::study_progress: a full-graph census.
+rt::StudyProgress scanned_progress(const rt::Runtime& runtime, rt::StudyId study) {
+  rt::StudyProgress p;
+  const rt::TaskGraph& graph = runtime.graph();
+  for (rt::TaskId id = 0; id < graph.size(); ++id) {
+    const rt::TaskRecord& record = graph.task(id);
+    if (record.study != study) continue;
+    ++p.total;
+    switch (record.state) {
+      case rt::TaskState::WaitingDeps: ++p.waiting; break;
+      case rt::TaskState::Ready: ++p.ready; break;
+      case rt::TaskState::Running: ++p.running; break;
+      case rt::TaskState::Done: ++p.done; break;
+      case rt::TaskState::Failed: ++p.failed; break;
+      case rt::TaskState::Cancelled: ++p.cancelled; break;
+    }
+  }
+  return p;
+}
+
+void expect_same_progress(const rt::StudyProgress& got, const rt::StudyProgress& want) {
+  EXPECT_EQ(got.total, want.total);
+  EXPECT_EQ(got.waiting, want.waiting);
+  EXPECT_EQ(got.ready, want.ready);
+  EXPECT_EQ(got.running, want.running);
+  EXPECT_EQ(got.done, want.done);
+  EXPECT_EQ(got.failed, want.failed);
+  EXPECT_EQ(got.cancelled, want.cancelled);
+}
+
+/// Brute-force oracle for cancel_study: walk the whole graph in id order;
+/// a task of the study counts iff it is still cancellable when reached —
+/// not terminal, not abandoned, and not already doomed by an earlier
+/// cancel's sweep over its pending dependents.
+std::size_t scanned_cancel_count(const rt::Runtime& runtime, rt::StudyId study) {
+  const rt::TaskGraph& graph = runtime.graph();
+  std::vector<bool> doomed(graph.size(), false);
+  std::function<void(rt::TaskId)> doom = [&](rt::TaskId task) {
+    for (const rt::TaskId succ : graph.task(task).successors) {
+      const rt::TaskState state = graph.task(succ).state;
+      if (doomed[succ] || (state != rt::TaskState::WaitingDeps && state != rt::TaskState::Ready))
+        continue;
+      doomed[succ] = true;
+      doom(succ);
+    }
+  };
+  std::size_t count = 0;
+  for (rt::TaskId id = 0; id < graph.size(); ++id) {
+    const rt::TaskRecord& record = graph.task(id);
+    if (record.study != study || doomed[id] || record.abandoned || is_terminal(record.state))
+      continue;
+    ++count;
+    doom(id);
+  }
+  return count;
+}
+
+class StudyTaskIndex : public ::testing::TestWithParam<std::tuple<bool, std::uint64_t>> {};
+
+TEST_P(StudyTaskIndex, ProgressAndCancelMatchAFullGraphScan) {
+  const auto [simulate, seed] = GetParam();
+  rt::RuntimeOptions opts = small_cluster(simulate, /*cpus=*/2, /*nodes=*/2);
+  opts.fault_policy.max_attempts = 1;  // a failing body fails its task for good
+  rt::Runtime runtime(std::move(opts));
+  std::vector<rt::StudySession> studies;
+  for (const char* name : {"a", "b", "c"}) studies.push_back(runtime.open_study({.name = name}));
+  const auto check = [&] {
+    for (const rt::StudySession& study : studies)
+      expect_same_progress(runtime.study_progress(study.id()),
+                           scanned_progress(runtime, study.id()));
+  };
+
+  Rng rng(seed);
+  std::vector<rt::Future> submitted;
+  for (int round = 0; round < 6; ++round) {
+    // Interleaved submissions; inputs may come from any study's tasks.
+    for (int i = 0; i < 12; ++i) {
+      rt::TaskDef def = noop_task(rng.next_uniform(0.5, 2.0));
+      const bool fails = rng.next_bool(0.15);
+      def.body = [fails](rt::TaskContext&) -> std::any {
+        if (fails) throw std::runtime_error("injected body failure");
+        return 0;
+      };
+      std::vector<rt::Param> params;
+      if (!submitted.empty() && rng.next_bool(0.6))
+        params.push_back({submitted[rng.next_index(submitted.size())].data, rt::Direction::In});
+      submitted.push_back(studies[rng.next_index(studies.size())].submit(def, params));
+    }
+    if (rng.next_bool(0.5)) runtime.cancel(submitted[rng.next_index(submitted.size())]);
+    check();
+    runtime.wait_all_for(simulate ? 1.5 : 0.002);
+    check();
+    if (round == 3) {
+      rt::StudySession& victim = studies[rng.next_index(studies.size())];
+      const std::size_t expected = scanned_cancel_count(runtime, victim.id());
+      EXPECT_EQ(victim.cancel_all(), expected);
+      check();
+    }
+  }
+  for (rt::StudySession& study : studies) {
+    const std::size_t expected = scanned_cancel_count(runtime, study.id());
+    EXPECT_EQ(study.cancel_all(), expected);
+  }
+  runtime.barrier();
+  check();
+  EXPECT_EQ(runtime.lineage_violations(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothBackends, StudyTaskIndex,
+                         ::testing::Combine(::testing::Bool(), ::testing::Values(1u, 2u, 3u)));
+
+TEST(ReleaseStudy, FreesTerminalTasksButNeverOneWithALiveConsumer) {
+  for (const bool simulate : {true, false}) {
+    SCOPED_TRACE(simulate ? "sim" : "threads");
+    rt::Runtime runtime(small_cluster(simulate));
+    rt::StudySession closed = runtime.open_study({.name = "closed"});
+    rt::StudySession late = runtime.open_study({.name = "late"});
+    const rt::Future shared = closed.submit(noop_task());
+    const rt::Future alone = closed.submit(noop_task());
+    closed.barrier();
+    late.pause();  // keeps the consumer below live
+    const rt::Future consumer = late.submit(noop_task(), {{shared.data, rt::Direction::In}});
+
+    runtime.release_study(closed.id());
+    const rt::TaskRecord& kept = runtime.graph().task(shared.producer);
+    EXPECT_FALSE(kept.released);
+    EXPECT_TRUE(static_cast<bool>(kept.def.body));
+    const rt::TaskRecord& freed = runtime.graph().task(alone.producer);
+    EXPECT_TRUE(freed.released);
+    EXPECT_FALSE(static_cast<bool>(freed.def.body));
+    EXPECT_FALSE(static_cast<bool>(freed.def.cost));
+    EXPECT_EQ(runtime.study_progress(closed.id()).total, 0u);
+    EXPECT_THROW(closed.submit(noop_task()), std::invalid_argument);
+    EXPECT_THROW(runtime.release_study(closed.id()), std::invalid_argument);
+    EXPECT_THROW(runtime.release_study(rt::kMainStudy), std::invalid_argument);
+
+    // Records, values and futures outlive the release.
+    EXPECT_EQ(runtime.wait_on_as<int>(alone), 0);
+    late.resume();
+    EXPECT_EQ(runtime.wait_on_as<int>(consumer), 0);
+    EXPECT_EQ(runtime.lineage_violations(), 0u);
+  }
+}
+
+TEST(ReleaseStudy, LineageDemandOnAReleasedTaskFailsTheConsumer) {
+  for (const bool simulate : {true, false}) {
+    SCOPED_TRACE(simulate ? "sim" : "threads");
+    rt::RuntimeOptions opts = small_cluster(simulate, /*cpus=*/2, /*nodes=*/2);
+    opts.cluster.has_parallel_fs = false;  // outputs live only on their node
+    rt::Runtime runtime(std::move(opts));
+    rt::StudySession closed = runtime.open_study({.name = "closed"});
+    rt::StudySession late = runtime.open_study({.name = "late"});
+    const rt::Future produced = closed.submit(noop_task());
+    closed.barrier();
+    runtime.release_study(closed.id());
+    ASSERT_TRUE(runtime.graph().task(produced.producer).released);
+
+    // Its only replica dies; a new consumer's lineage demand reaches a task
+    // that can no longer run: the consumer fails instead of replaying it.
+    const int node = runtime.graph().task(produced.producer).last_node;
+    ASSERT_GE(node, 0);
+    runtime.kill_node(static_cast<std::size_t>(node));
+    const rt::Future consumer = late.submit(noop_task(), {{produced.data, rt::Direction::In}});
+    EXPECT_THROW(runtime.wait_on(consumer), rt::TaskFailedError);
+    EXPECT_EQ(runtime.graph().task(consumer.producer).state, rt::TaskState::Failed);
+    EXPECT_THROW(runtime.wait_on(produced), rt::TaskFailedError);
+    EXPECT_EQ(runtime.lineage_recoveries(), 0u);
+    EXPECT_EQ(runtime.lineage_violations(), 0u);
+  }
+}
+
+TEST(ReleaseStudy, KilledStudyFinishesReleasingWhenItsAbandonedAttemptLands) {
+  rt::Runtime runtime(small_cluster(/*simulate=*/true, /*cpus=*/1, /*nodes=*/1));
+  rt::StudySession killed = runtime.open_study({.name = "killed"});
+  rt::StudySession other = runtime.open_study({.name = "other"});
+  std::vector<rt::Future> tasks;
+  for (int i = 0; i < 3; ++i) tasks.push_back(killed.submit(noop_task(5.0)));
+  other.submit(noop_task(1.0));
+  runtime.wait_all_for(1.0);
+  ASSERT_EQ(killed.progress().running, 1u);
+
+  killed.cancel_all();  // the running attempt is abandoned on finish
+  runtime.release_study(killed.id());
+  // The index stays until the straggler lands; its record keeps its body.
+  EXPECT_EQ(runtime.study_progress(killed.id()).running, 1u);
+  EXPECT_FALSE(runtime.graph().task(tasks[0].producer).released);
+
+  runtime.barrier();
+  EXPECT_EQ(runtime.graph().task(tasks[0].producer).state, rt::TaskState::Cancelled);
+  EXPECT_EQ(runtime.study_progress(killed.id()).total, 0u);
+  for (const rt::Future& f : tasks) EXPECT_TRUE(runtime.graph().task(f.producer).released);
 }
 
 // ---------------------------------------------------------------------------

@@ -596,6 +596,66 @@ void rule_hot_path_std_function(const SourceFile& file, const std::vector<std::s
 }
 
 // ---------------------------------------------------------------------------
+// Rule: full-graph-scan
+// ---------------------------------------------------------------------------
+
+/// Functions that read the whole graph by design: the DOT export, and
+/// quiescent-style debug asserts over a whole-graph invariant.
+bool full_graph_scan_allowed(const std::string& function) {
+  return function == "to_dot" || contains(function, "quiescent");
+}
+
+void rule_full_graph_scan(const SourceFile& file, const FileIndex& index,
+                          std::vector<Finding>& out) {
+  // The graph keeps every task a long-running process ever submitted, so a
+  // per-request loop over it costs O(all history). Per-study work walks
+  // the engine's per-study task index instead.
+  if (!contains(file.path, "src/runtime/") && !contains(file.path, "src/service/") &&
+      !contains(file.path, "src/daemon/"))
+    return;
+  const std::vector<Token>& tokens = index.tokens;
+  const auto graph_size_at = [&](std::size_t k) {
+    // graph_.size() / graph_->size() / graph().size() starting at token k.
+    std::string glued;
+    for (std::size_t j = k; j < tokens.size() && j < k + 7; ++j) glued += tokens[j].text;
+    return glued.rfind("graph_.size()", 0) == 0 || glued.rfind("graph_->size()", 0) == 0 ||
+           glued.rfind("graph().size()", 0) == 0;
+  };
+  for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
+    if (tokens[i].text != "for" || tokens[i + 1].text != "(") continue;
+    const FunctionDef* enclosing = nullptr;
+    for (const FunctionDef& def : index.functions)
+      if (def.body_begin < i && i < def.body_end) enclosing = &def;
+    // Names bound to the graph size earlier in the function
+    // (`const std::size_t total = graph_.size();`), so hoisting the bound
+    // out of the header does not hide the scan.
+    std::vector<std::string> size_names;
+    for (std::size_t k = enclosing ? enclosing->body_begin : 0; k + 2 < i; ++k)
+      if (tokens[k + 1].text == "=" && graph_size_at(k + 2)) size_names.push_back(tokens[k].text);
+    // Walk the loop header up to the matching ')'.
+    bool task_id = false;
+    bool whole_graph = false;
+    int depth = 0;
+    for (std::size_t j = i + 1; j < tokens.size(); ++j) {
+      if (tokens[j].text == "(") ++depth;
+      if (tokens[j].text == ")" && --depth == 0) break;
+      if (tokens[j].text == "TaskId") task_id = true;
+      if (graph_size_at(j) || std::find(size_names.begin(), size_names.end(), tokens[j].text) !=
+                                  size_names.end())
+        whole_graph = true;
+    }
+    if (!task_id || !whole_graph) continue;
+    const std::string function = enclosing ? enclosing->name : std::string();
+    if (full_graph_scan_allowed(function)) continue;
+    out.push_back({file.path, tokens[i].line, "full-graph-scan",
+                   "loop over every task in the graph" +
+                       (function.empty() ? std::string() : " in " + function + "()") +
+                       "; the graph holds all history, so walk the engine's per-study task "
+                       "index (Engine::study_tasks) instead"});
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Rule: trace-kind-coverage (cross-file)
 // ---------------------------------------------------------------------------
 
@@ -861,6 +921,7 @@ std::vector<Finding> lint_files(const std::vector<SourceFile>& files) {
     rule_callback_in_engine_mutation(normalised_files[i], masked[i], findings);
     rule_registry_lock_blocking_call(normalised_files[i], indices[i], findings);
     rule_hot_path_std_function(normalised_files[i], masked[i], findings);
+    rule_full_graph_scan(normalised_files[i], indices[i], findings);
   }
 
   rule_trace_kind_coverage(normalised_files, masked, findings);

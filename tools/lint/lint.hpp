@@ -58,6 +58,16 @@
 //                              that only materialize at runtime; this rule
 //                              catches the ones visible statically, on
 //                              every build, with no test coverage needed.
+//   full-graph-scan            no `for (TaskId id = 0; id < graph_.size();
+//                              ...)` loop in src/runtime/, src/service/ or
+//                              src/daemon/: the graph holds every task a
+//                              long-running process ever ran, so such a
+//                              loop makes a per-request cost grow with all
+//                              history. Per-study work walks the engine's
+//                              per-study task index. Allowed in the DOT
+//                              export (to_dot) and quiescent-style debug
+//                              asserts; trace analysis lives in src/trace/,
+//                              outside the scanned trees.
 //
 // Header self-containedness (each public header compiles as its own
 // translation unit) is the one rule not here: it needs a compiler, so it is
