@@ -6,14 +6,21 @@
 // Both must drive the engine to the same logical outcome for the same
 // submission sequence — the test suite asserts this equivalence.
 //
-// Every drive entry point requires the g_engine_ctx capability: backends
+// There is one drive loop (Backend::drive, backend.cpp) for both. A backend
+// supplies four primitives — start an attempt, say whether any attempt is
+// in flight, idle until an instant, and collect finished attempts — and
+// owns its clock. Every wait the Runtime offers is drive() over a predicate,
+// with or without a deadline.
+//
+// drive() and the primitives require the g_engine_ctx capability: backends
 // never acquire the coordinator role themselves, they inherit it from the
 // Runtime call that invoked them (see engine_context.hpp).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <span>
+#include <optional>
+#include <vector>
 
 #include "runtime/engine.hpp"
 #include "runtime/types.hpp"
@@ -22,39 +29,22 @@ namespace chpo::rt {
 
 class Backend {
  public:
+  explicit Backend(Engine& engine) : engine_(engine) {}
   virtual ~Backend() = default;
+  Backend(const Backend&) = delete;
+  Backend& operator=(const Backend&) = delete;
 
   /// Current time in seconds (wall-clock since construction, or virtual).
   virtual double now() const = 0;
 
-  /// Drive the engine until `target` reaches a terminal state; kNoTask
-  /// means "until every submitted task is terminal" (a full barrier).
-  virtual void run_until(TaskId target) CHPO_REQUIRES(g_engine_ctx) = 0;
-
-  /// Completion-driven wait: drive the engine until at least one of
-  /// `targets` is terminal, in whatever order completions actually land
-  /// (no head-of-line blocking on submission order). Already-terminal
-  /// targets return immediately.
-  virtual void run_until_any(std::span<const TaskId> targets) CHPO_REQUIRES(g_engine_ctx) = 0;
-
-  /// Bounded barrier: drive the engine until every submitted task is
-  /// terminal or `seconds` have elapsed (wall or virtual) from the call,
-  /// whichever comes first. Returns true iff everything is terminal.
-  virtual bool run_for(double seconds) CHPO_REQUIRES(g_engine_ctx) = 0;
-
-  /// Bounded completion-driven wait: like run_until_any, but give up after
-  /// `seconds` (wall or virtual) even if no target turned terminal —
-  /// the building block for a service front-end that interleaves engine
-  /// progress with request handling. Returns true iff at least one target
-  /// is terminal on exit.
-  virtual bool run_until_any_for(std::span<const TaskId> targets, double seconds)
-      CHPO_REQUIRES(g_engine_ctx) = 0;
-
-  /// Drive the engine until an arbitrary predicate over engine state holds
-  /// (evaluated on the coordinator between engine steps). wait_on uses this
-  /// to ride out the lineage recovery of a result whose replicas died.
-  virtual void run_until_condition(const std::function<bool()>& finished)
-      CHPO_REQUIRES(g_engine_ctx) = 0;
+  /// Drive the engine until `finished()` holds (checked on the coordinator
+  /// between engine steps) or the clock reaches `deadline` (seconds on this
+  /// backend's clock; < 0 = none), whichever comes first. An already-passed
+  /// deadline starts no new work. Returns true iff `finished()` held.
+  /// Throws std::runtime_error when an unbounded wait can never finish:
+  /// nothing runs, nothing can be placed and no engine duty is pending.
+  bool drive(const std::function<bool()>& finished, double deadline = -1.0)
+      CHPO_REQUIRES(g_engine_ctx);
 
   /// Run exactly one engine duty round — process due node events, reap
   /// overdue attempts, dispatch ready work — without waiting for anything.
@@ -62,7 +52,7 @@ class Backend {
   /// immediately rather than at the next blocking wait.
   void poke() CHPO_REQUIRES(g_engine_ctx) {
     int steps = 0;
-    run_until_condition([&steps] { return steps++ > 0; });
+    drive([&steps] { return steps++ > 0; });
   }
 
   /// Worker-side work-stealing counter (jobs a worker took from another
@@ -71,8 +61,31 @@ class Backend {
   /// because it reads an atomic, not engine state.
   virtual std::uint64_t steals() const { return 0; }
 
-  /// True for the discrete-event simulator.
-  virtual bool simulated() const = 0;
+ protected:
+  /// One attempt that ran to its end (successfully or not), as collect()
+  /// hands it to the drive loop for Engine::complete_attempt.
+  struct Finished {
+    std::uint64_t attempt_id = 0;
+    AttemptResult result;
+    double start = 0.0;  ///< when the body began (after staging)
+    double end = 0.0;
+  };
+
+  /// Start one attempt. `staged`: a same-node retry whose inputs are
+  /// already on the node (the simulator charges no second staging).
+  virtual void launch(const Dispatch& dispatch, bool staged) CHPO_REQUIRES(g_engine_ctx) = 0;
+  /// True iff some attempt (or, on the simulator, any queued event) can
+  /// still land, i.e. collect() has something to wait for.
+  virtual bool in_flight() CHPO_REQUIRES(g_engine_ctx) = 0;
+  /// Nothing is in flight: let the clock reach `t` (sleep, or jump).
+  virtual void idle_until(double t) = 0;
+  /// Wait for finished attempts and append them to `out`, giving up at the
+  /// `deadline` (< 0 = none) or at the engine's next `wake`-up. An empty
+  /// batch sends the loop back to its duty round.
+  virtual void collect(double deadline, std::optional<double> wake, std::vector<Finished>& out)
+      CHPO_REQUIRES(g_engine_ctx) = 0;
+
+  Engine& engine_;
 };
 
 }  // namespace chpo::rt

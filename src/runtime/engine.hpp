@@ -21,10 +21,10 @@
 // TaskContext. The contract is *compile-time checked* under clang's
 // -Wthread-safety: every mutating method requires the g_engine_ctx
 // capability (see engine_context.hpp), which only the Runtime facade and
-// the backend drive loops hold. Read-only queries used inside wait
+// Backend::drive (with its per-backend primitives) hold. Read-only queries used inside wait
 // predicates (task_terminal, quiescent, next-counter accessors) stay
 // unannotated — they are still coordinator-only by contract, but the
-// predicate lambdas the backends evaluate cannot carry capabilities.
+// predicate lambdas Backend::drive evaluates cannot carry capabilities.
 #pragma once
 
 #include <deque>

@@ -3,8 +3,8 @@
 //
 // The Engine is deliberately lock-free: zero mutexes, because every
 // mutation happens on the backend coordinator thread (the thread inside a
-// Runtime submit/wait/cancel call, which is also the thread running a
-// backend drive loop). That convention kept the engine simple, but nothing
+// Runtime submit/wait/cancel call, which is also the thread running
+// Backend::drive). That convention kept the engine simple, but nothing
 // used to stop a future change from calling into the engine off-thread —
 // the exact class of bug TSan caught twice (PR 2's TaskRecord read from a
 // worker, PR 4's zombie-body registry race).
@@ -15,7 +15,7 @@
 // annotated CHPO_REQUIRES(g_engine_ctx) refuses to compile unless the
 // caller statically holds the capability — and the only way to hold it is
 // an EngineContextScope, which the Runtime facade opens at each public
-// entry point and the backends require through their drive loops. A worker
+// entry point and Backend::drive and its primitives require. A worker
 // thread (or any new code path) calling a mutating Engine method without
 // the scope is a hard compile error in the clang CI job, not a data race
 // waiting for TSan to sample it.
@@ -47,7 +47,7 @@ inline EngineContext g_engine_ctx;
 
 /// RAII scope asserting "this code runs on the coordinator thread".
 /// Opened by Runtime public entry points before touching the engine;
-/// required (not re-acquired) by the backend drive loops they call into.
+/// required (not re-acquired) by Backend::drive, which they call into.
 class CHPO_SCOPED_CAPABILITY EngineContextScope {
  public:
   explicit EngineContextScope(EngineContext& ctx) CHPO_ACQUIRE(ctx) : ctx_(ctx) { ctx_.acquire(); }
@@ -61,7 +61,7 @@ class CHPO_SCOPED_CAPABILITY EngineContextScope {
 
 /// Statically assert "this code already runs on the coordinator" inside
 /// code the analysis cannot thread the capability through — completion
-/// predicates and callbacks that backends invoke from their drive loops
+/// predicates and callbacks that Backend::drive invokes
 /// (which hold the capability, but behind a std::function boundary).
 /// No runtime effect; use only where that invariant is documented.
 inline void assert_engine_context() CHPO_ASSERT_CAPABILITY(g_engine_ctx) {}

@@ -1,5 +1,7 @@
 #include "runtime/runtime.hpp"
 
+#include <algorithm>
+
 #include "runtime/study_session.hpp"
 #include "runtime/thread_backend.hpp"
 #include "support/log.hpp"
@@ -168,10 +170,7 @@ void Runtime::study_barrier(StudyId study) {
   study_info(study);  // validate
   EngineContextScope ctx(g_engine_ctx);
   if (engine_.study_quiescent(study)) return;
-  backend_->run_until_condition([this, study] {
-    assert_engine_context();
-    return engine_.study_quiescent(study);
-  });
+  backend_->drive([this, study] { return engine_.study_quiescent(study); });
 }
 
 void Runtime::on_task_terminal(TaskId task, TaskState state) {
@@ -216,7 +215,7 @@ Future Runtime::submit_in(const TaskDef& def, const std::vector<DataId>& inputs)
 std::any Runtime::wait_on(const Future& future) {
   if (future.producer == kNoTask) throw std::invalid_argument("wait_on: empty future");
   EngineContextScope ctx(g_engine_ctx);
-  backend_->run_until(future.producer);
+  backend_->drive([this, &future] { return engine_.task_terminal(future.producer); });
   graph_.task(future.producer).synced = true;
   sink_.record(trace::Event{.kind = trace::EventKind::Sync,
                             .task_id = future.producer,
@@ -231,7 +230,7 @@ std::any Runtime::wait_on(const Future& future) {
   // a permanently failed producer or every node is gone).
   auto status = engine_.request_version(future.data, future.version, backend_->now());
   if (status == Engine::VersionStatus::Recovering) {
-    backend_->run_until_condition([this, &future, &status] {
+    backend_->drive([this, &future, &status] {
       // Evaluated from inside the drive loop, which holds the capability
       // behind the std::function boundary.
       assert_engine_context();
@@ -247,14 +246,18 @@ std::any Runtime::wait_on(const Future& future) {
 }
 
 Future Runtime::wait_any(std::span<const Future> futures) {
-  if (futures.empty()) throw std::invalid_argument("wait_any: no futures");
+  return wait_first(futures, "wait_any", /*deadline=*/-1.0);
+}
+
+Future Runtime::wait_any_for(std::span<const Future> futures, double seconds) {
+  return wait_first(futures, "wait_any_for", backend_->now() + seconds);
+}
+
+Future Runtime::wait_first(std::span<const Future> futures, const char* caller, double deadline) {
+  if (futures.empty()) throw std::invalid_argument(std::string(caller) + ": no futures");
+  for (const Future& f : futures)
+    if (f.producer == kNoTask) throw std::invalid_argument(std::string(caller) + ": empty future");
   EngineContextScope ctx(g_engine_ctx);
-  std::vector<TaskId> targets;
-  targets.reserve(futures.size());
-  for (const Future& f : futures) {
-    if (f.producer == kNoTask) throw std::invalid_argument("wait_any: empty future");
-    targets.push_back(f.producer);
-  }
 
   // Pick the candidate that turned terminal first; drive the backend only
   // when none has yet.
@@ -274,45 +277,12 @@ Future Runtime::wait_any(std::span<const Future> futures) {
 
   const Future* winner = first_finished();
   if (winner == nullptr) {
-    backend_->run_until_any(targets);
-    winner = first_finished();
-  }
-  graph_.task(winner->producer).synced = true;
-  sink_.record(trace::Event{.kind = trace::EventKind::WaitAny,
-                            .task_id = winner->producer,
-                            .study = graph_.task(winner->producer).study,
-                            .t_start = backend_->now(),
-                            .t_end = backend_->now()});
-  return *winner;
-}
-
-Future Runtime::wait_any_for(std::span<const Future> futures, double seconds) {
-  if (futures.empty()) throw std::invalid_argument("wait_any_for: no futures");
-  EngineContextScope ctx(g_engine_ctx);
-  std::vector<TaskId> targets;
-  targets.reserve(futures.size());
-  for (const Future& f : futures) {
-    if (f.producer == kNoTask) throw std::invalid_argument("wait_any_for: empty future");
-    targets.push_back(f.producer);
-  }
-
-  auto first_finished = [&]() -> const Future* {
-    const Future* winner = nullptr;
-    std::uint64_t best_seq = 0;
-    for (const Future& f : futures) {
-      const std::uint64_t seq = graph_.task(f.producer).terminal_seq;
-      if (seq == 0) continue;
-      if (winner == nullptr || seq < best_seq) {
-        winner = &f;
-        best_seq = seq;
-      }
-    }
-    return winner;
-  };
-
-  const Future* winner = first_finished();
-  if (winner == nullptr) {
-    backend_->run_until_any_for(targets, seconds);
+    backend_->drive(
+        [&] {
+          return std::any_of(futures.begin(), futures.end(),
+                             [&](const Future& f) { return engine_.task_terminal(f.producer); });
+        },
+        deadline);
     winner = first_finished();
   }
   if (winner == nullptr) return Future{};  // timed out; nothing terminal
@@ -358,7 +328,7 @@ void Runtime::release_study(StudyId study) {
 bool Runtime::wait_all_for(double seconds) {
   if (graph_.empty()) return true;
   EngineContextScope ctx(g_engine_ctx);
-  return backend_->run_for(seconds);
+  return backend_->drive([this] { return engine_.quiescent(); }, backend_->now() + seconds);
 }
 
 bool Runtime::cancel(const Future& future) {
@@ -374,7 +344,9 @@ bool Runtime::cancel(const Future& future) {
 void Runtime::barrier() {
   if (graph_.empty()) return;
   EngineContextScope ctx(g_engine_ctx);
-  backend_->run_until(kNoTask);
+  // quiescent, not just all_terminal: a barrier also waits out pending
+  // lineage recoveries, so data lost to a node death is recomputed first.
+  backend_->drive([this] { return engine_.quiescent(); });
 }
 
 Future Runtime::submit_in_group(const std::string& group, const TaskDef& def,
@@ -388,7 +360,13 @@ void Runtime::barrier_group(const std::string& group) {
   const auto it = groups_.find(group);
   if (it == groups_.end()) return;
   EngineContextScope ctx(g_engine_ctx);
-  for (TaskId task : it->second) backend_->run_until(task);
+  // Tasks never leave a terminal state, so the scan resumes where the last
+  // evaluation stopped: linear in the group over the whole wait.
+  std::size_t next = 0;
+  backend_->drive([this, &tasks = it->second, &next] {
+    while (next < tasks.size() && engine_.task_terminal(tasks[next])) ++next;
+    return next == tasks.size();
+  });
   sink_.record(trace::Event{.kind = trace::EventKind::Sync,
                             .t_start = backend_->now(),
                             .t_end = backend_->now()});

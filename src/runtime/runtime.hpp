@@ -345,6 +345,11 @@ class Runtime {
   void study_barrier(StudyId study);
   StudyInfo& study_info(StudyId study);
   const StudyInfo& study_info(StudyId study) const;
+  /// Shared body of wait_any / wait_any_for: the first of `futures` to
+  /// have turned terminal, driving the backend up to `deadline` (< 0 =
+  /// none) when none has yet; an empty Future on timeout. `caller` names
+  /// the public entry point in argument errors.
+  Future wait_first(std::span<const Future> futures, const char* caller, double deadline);
 
   RuntimeOptions options_;
   DataRegistry registry_;

@@ -1,7 +1,7 @@
 #include "runtime/sim_backend.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <string>
 
 namespace chpo::rt {
 
@@ -18,7 +18,7 @@ struct EvLater {
 }  // namespace
 
 SimBackend::SimBackend(Engine& engine, SimOptions options)
-    : engine_(engine), options_(options) {
+    : Backend(engine), options_(options) {
   // Virtual-clock preemption happens at dispatch (the attempt's end event
   // is moved to its deadline), so the engine must not also arm reap
   // deadlines for these attempts. Node deaths/rejoins need no loading
@@ -39,18 +39,15 @@ double SimBackend::task_duration(const TaskRecord& record, const Placement& plac
   return seconds > 0.0 ? seconds : 0.0;
 }
 
-void SimBackend::dispatch(const Dispatch& d, bool inputs_already_staged) {
+void SimBackend::launch(const Dispatch& d, bool staged) {
   const TaskRecord& record = engine_.graph().task(d.task);
-  const double staging =
-      inputs_already_staged ? 0.0 : engine_.stage_inputs(d.task, d.placement.node, now_);
+  const double staging = staged ? 0.0 : engine_.stage_inputs(d.task, d.placement.node, now_);
   const double duration = task_duration(record, d.placement);
 
   Ev ev;
   ev.seq = seq_++;
   ev.kind = EvKind::TaskEnd;
-  ev.task = d.task;
   ev.attempt_id = d.attempt_id;
-  ev.placement = d.placement;
   ev.start = now_ + staging;
   ev.time = ev.start + duration;
   if (options_.execute_bodies) {
@@ -87,105 +84,30 @@ void SimBackend::arm_wakeup() {
   armed_wakeup_ = *wake;
 }
 
-bool SimBackend::done(TaskId target) const {
-  // A barrier also waits out pending lineage recoveries (quiescent), so
-  // data lost to a node death is recomputed before control returns.
-  return target == kNoTask ? engine_.quiescent() : engine_.task_terminal(target);
+bool SimBackend::in_flight() {
+  arm_wakeup();
+  return !events_.empty();
 }
 
-bool SimBackend::drive(const std::function<bool()>& finished, double deadline) {
-  engine_.flush_notifications();
-  while (!finished()) {
-    // Expired horizon first, before starting new work — mirrors
-    // ThreadBackend, so run_for(0) dispatches nothing on either backend.
-    if (deadline >= 0.0 && now_ >= deadline) return false;
-
-    // Engine duties due right now (backoff expiries, stragglers), then
-    // regular placement. on_wakeup can fail tasks (unsatisfiable promoted
-    // retry), so flush before re-checking the target.
-    for (const Dispatch& d : engine_.on_wakeup(now_)) dispatch(d, false);
-    for (const Dispatch& d : engine_.schedule(now_)) dispatch(d, false);
-    engine_.flush_notifications();
-
-    if (finished()) return true;
-
-    // Future duties (straggler thresholds, backoff expiries) become events.
-    arm_wakeup();
-
-    if (events_.empty()) {
-      if (engine_.reap_infeasible()) {
-        engine_.flush_notifications();
-        continue;
-      }
-      if (finished()) return true;
-      if (deadline >= 0.0) {
-        // Bounded wait with nothing schedulable (e.g. every remaining task
-        // held by a paused study): advance to the horizon and hand back.
-        now_ = std::max(now_, deadline);
-        return false;
-      }
-      throw std::runtime_error("SimBackend: no pending events but target not finished");
-    }
-
-    if (deadline >= 0.0 && events_.front().time > deadline) {
-      // The next completion lies beyond the horizon: advance the clock to
-      // the deadline and hand control back with attempts still in flight.
-      now_ = std::max(now_, deadline);
-      return false;
-    }
-
-    std::pop_heap(events_.begin(), events_.end(), EvLater{});
-    Ev ev = std::move(events_.back());
-    events_.pop_back();
-    now_ = std::max(now_, ev.time);
-
-    if (ev.kind == EvKind::EngineWakeup) {
-      // Loop back to the top: on_wakeup runs with the clock at the armed
-      // time (applying node deaths/rejoins at their exact virtual instant),
-      // then re-arms for whatever duty is next.
-      armed_wakeup_ = -1.0;
-      continue;
-    }
-
-    Engine::Completion completion =
-        engine_.complete_attempt(ev.attempt_id, std::move(ev.result), ev.start, now_);
-    // Same-node retry keeps its staged inputs; duration is re-modelled.
-    if (completion.retry) dispatch(*completion.retry, true);
-    // Safe point: the engine holds no record references here, so queued
-    // terminal notifications (and their user callbacks) can fire.
-    engine_.flush_notifications();
+void SimBackend::collect(double deadline, std::optional<double>, std::vector<Finished>& out) {
+  if (deadline >= 0.0 && events_.front().time > deadline) {
+    // The next event lies beyond the horizon: advance the clock to the
+    // deadline and hand control back with attempts still in flight.
+    now_ = std::max(now_, deadline);
+    return;
   }
-  return true;
-}
-
-void SimBackend::run_until(TaskId target) {
-  drive([this, target] { return done(target); }, /*deadline=*/-1.0);
-}
-
-void SimBackend::run_until_any(std::span<const TaskId> targets) {
-  drive(
-      [this, targets] {
-        return std::any_of(targets.begin(), targets.end(),
-                           [this](TaskId t) { return engine_.task_terminal(t); });
-      },
-      /*deadline=*/-1.0);
-}
-
-bool SimBackend::run_for(double seconds) {
-  return drive([this] { return engine_.quiescent(); }, now_ + seconds);
-}
-
-bool SimBackend::run_until_any_for(std::span<const TaskId> targets, double seconds) {
-  auto any_done = [this, targets] {
-    return std::any_of(targets.begin(), targets.end(),
-                       [this](TaskId t) { return engine_.task_terminal(t); });
-  };
-  drive(any_done, now_ + seconds);
-  return any_done();
-}
-
-void SimBackend::run_until_condition(const std::function<bool()>& finished) {
-  drive(finished, /*deadline=*/-1.0);
+  std::pop_heap(events_.begin(), events_.end(), EvLater{});
+  Ev ev = std::move(events_.back());
+  events_.pop_back();
+  now_ = std::max(now_, ev.time);
+  if (ev.kind == EvKind::EngineWakeup) {
+    // The drive loop runs on_wakeup with the clock at the armed time
+    // (applying node deaths/rejoins at their exact virtual instant), then
+    // re-arms for whatever duty is next.
+    armed_wakeup_ = -1.0;
+    return;
+  }
+  out.push_back({ev.attempt_id, std::move(ev.result), ev.start, now_});
 }
 
 }  // namespace chpo::rt

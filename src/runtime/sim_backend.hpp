@@ -12,8 +12,7 @@
 // scheduling studies where only the timeline matters.
 #pragma once
 
-#include <functional>
-#include <queue>
+#include <algorithm>
 #include <vector>
 
 #include "runtime/backend.hpp"
@@ -31,14 +30,19 @@ class SimBackend : public Backend {
   explicit SimBackend(Engine& engine, SimOptions options = {});
 
   double now() const override { return now_; }
-  void run_until(TaskId target) override CHPO_REQUIRES(g_engine_ctx);
-  void run_until_any(std::span<const TaskId> targets) override CHPO_REQUIRES(g_engine_ctx);
-  bool run_for(double seconds) override CHPO_REQUIRES(g_engine_ctx);
-  bool run_until_any_for(std::span<const TaskId> targets, double seconds) override
+
+ protected:
+  void launch(const Dispatch& dispatch, bool staged) override CHPO_REQUIRES(g_engine_ctx);
+  /// Arms the next engine wakeup, then reports whether any event is queued.
+  /// Deliberately not running_count() > 0: the stale TaskEnd of a reaped
+  /// attempt still advances the virtual clock when it pops.
+  bool in_flight() override CHPO_REQUIRES(g_engine_ctx);
+  void idle_until(double t) override { now_ = std::max(now_, t); }
+  /// Pops exactly one event (or none, if it lies beyond `deadline`, in
+  /// which case the clock lands on the deadline). An EngineWakeup yields
+  /// an empty batch, so on_wakeup runs at its exact virtual instant.
+  void collect(double deadline, std::optional<double> wake, std::vector<Finished>& out) override
       CHPO_REQUIRES(g_engine_ctx);
-  void run_until_condition(const std::function<bool()>& finished) override
-      CHPO_REQUIRES(g_engine_ctx);
-  bool simulated() const override { return true; }
 
  private:
   // Node deaths/rejoins are engine-owned events now: next_wakeup() exposes
@@ -51,29 +55,18 @@ class SimBackend : public Backend {
     std::uint64_t seq = 0;  ///< FIFO tie-break for equal times
     EvKind kind = EvKind::TaskEnd;
     // TaskEnd payload:
-    TaskId task = kNoTask;
     std::uint64_t attempt_id = 0;
-    Placement placement;
     AttemptResult result;
     double start = 0.0;  ///< when the body began (after staging)
   };
 
-  void dispatch(const Dispatch& d, bool inputs_already_staged) CHPO_REQUIRES(g_engine_ctx);
   /// Queue an EngineWakeup event at Engine::next_wakeup (straggler
   /// threshold crossings and backoff expiries — timeouts are preempted at
   /// dispatch instead). Spurious extra wakeups are harmless: on_wakeup is
   /// idempotent for times with no due work.
   void arm_wakeup() CHPO_REQUIRES(g_engine_ctx);
-  bool done(TaskId target) const;
   double task_duration(const TaskRecord& record, const Placement& placement) const;
-  /// Event loop shared by every wait flavour: pop events until `finished()`
-  /// holds or the next event lies beyond the virtual `deadline` (<0 =
-  /// none), in which case the clock advances to the deadline exactly.
-  /// Returns true iff it stopped because `finished()` held.
-  bool drive(const std::function<bool()>& finished, double deadline)
-      CHPO_REQUIRES(g_engine_ctx);
 
-  Engine& engine_;
   SimOptions options_;
   double now_ = 0.0;
   std::uint64_t seq_ = 0;

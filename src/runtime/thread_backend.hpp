@@ -3,7 +3,7 @@
 // Each dispatched task body runs on a worker thread from a sharded
 // work-stealing pool sized to the cluster's total task concurrency (one
 // queue per worker, dispatches sharded by placement node, idle workers
-// steal). The coordinator (the caller of run_until) performs all engine
+// steal). The coordinator (the thread inside Backend::drive) performs all engine
 // mutations; workers only execute body snapshots and enqueue completion
 // messages, so engine state needs no locking. Completions are drained in
 // batches: one coordinator round-trip retires every message queued since
@@ -11,7 +11,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -27,45 +26,33 @@ class ThreadBackend : public Backend {
   explicit ThreadBackend(Engine& engine);
 
   /// Joins the worker pool before the mutex/condvar members are destroyed:
-  /// a worker may still be inside cv_.notify_one() when run_until returns,
+  /// a worker may still be inside cv_.notify_one() when drive returns,
   /// and default member-order destruction would tear the condvar down
   /// first (caught by TSan).
   ~ThreadBackend() override { pool_.reset(); }
 
   double now() const override { return clock_.elapsed_seconds(); }
-  void run_until(TaskId target) override CHPO_REQUIRES(g_engine_ctx);
-  void run_until_any(std::span<const TaskId> targets) override CHPO_REQUIRES(g_engine_ctx);
-  bool run_for(double seconds) override CHPO_REQUIRES(g_engine_ctx);
-  bool run_until_any_for(std::span<const TaskId> targets, double seconds) override
-      CHPO_REQUIRES(g_engine_ctx);
-  void run_until_condition(const std::function<bool()>& finished) override
-      CHPO_REQUIRES(g_engine_ctx);
   std::uint64_t steals() const override { return pool_ ? pool_->steals() : 0; }
-  bool simulated() const override { return false; }
+
+ protected:
+  /// Hands a body snapshot to the pool; `staged` is moot here (workers
+  /// read the registry directly, there is no staging to repeat).
+  void launch(const Dispatch& dispatch, bool staged) override CHPO_REQUIRES(g_engine_ctx);
+  bool in_flight() override CHPO_REQUIRES(g_engine_ctx) { return engine_.running_count() > 0; }
+  void idle_until(double t) override;
+  /// Waits on the completion queue until it is non-empty, the deadline or
+  /// the engine's wakeup, then drains *everything* queued, so one
+  /// coordinator round-trip retires the whole wave (one lock hold, one
+  /// notification flush) instead of one message per lock acquisition.
+  void collect(double deadline, std::optional<double> wake, std::vector<Finished>& out) override
+      CHPO_REQUIRES(g_engine_ctx);
 
  private:
-  struct CompletionMsg {
-    std::uint64_t attempt_id;
-    TaskId task;
-    AttemptResult result;
-    double start;
-    double end;
-  };
-
-  void launch(const Dispatch& dispatch) CHPO_REQUIRES(g_engine_ctx);
   /// StealPool sink: runs one body snapshot on a worker thread and queues
   /// the completion. A static function (not a capturing lambda) so the
   /// per-dispatch path never allocates a type-erased callable.
   static void run_job(void* ctx, StealPool::Job&& job);
-  bool done(TaskId target) const;
-  /// Core loop shared by every wait flavour: dispatch ready tasks and
-  /// process worker completions until `finished()` holds or the wall-clock
-  /// `deadline` (seconds on this backend's clock; <0 = none) passes.
-  /// Returns true iff it stopped because `finished()` held.
-  bool drive(const std::function<bool()>& finished, double deadline)
-      CHPO_REQUIRES(g_engine_ctx);
 
-  Engine& engine_;
   Stopwatch clock_;
   std::unique_ptr<StealPool> pool_;
   /// Guards the worker -> coordinator completion queue (the only state
@@ -73,7 +60,7 @@ class ThreadBackend : public Backend {
   /// state confined to the coordinator via g_engine_ctx).
   Mutex mutex_{lockdep::kBackendCompletions};
   CondVar cv_;
-  std::deque<CompletionMsg> completions_ CHPO_GUARDED_BY(mutex_);
+  std::deque<Finished> completions_ CHPO_GUARDED_BY(mutex_);
 };
 
 }  // namespace chpo::rt

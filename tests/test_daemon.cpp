@@ -659,7 +659,7 @@ TEST(DaemonServer, StudyDrainedMidFlightReplaysAndCountsExactlyOnce) {
 TEST(DaemonServer, StepReturnsWhenTheOnlyRunningStudyIsPausedOnThreads) {
   // Thread backend, one slot: pausing leaves the study's queued trials as
   // the only outstanding work. step() must come back after its slice
-  // instead of failing with "no runnable tasks".
+  // instead of failing with the drive loop's deadlock error.
   const ml::Dataset dataset = ml::make_mnist_like(60, 20, 21);
   daemon::ServerOptions options;
   cluster::NodeSpec node;

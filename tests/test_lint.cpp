@@ -251,25 +251,33 @@ TEST(HotPathStdFunction, FlagsAllocationInPerDispatchMethods) {
        {"src/runtime/thread_backend.cpp",
         "void ThreadBackend::run_job(void* ctx, StealPool::Job&& job) {\n"
         "  std::function<void()> deferred = std::move(job.work);\n"
+        "}\n"},
+       {"src/runtime/sim_backend.cpp",
+        "void SimBackend::launch(const Dispatch& d, bool staged) {\n"
+        "  std::function<double()> duration = [&] { return cost(d); };\n"
         "}\n"}});
   const auto hits = of_rule(findings, "hot-path-std-function");
-  ASSERT_EQ(hits.size(), 3u);
+  ASSERT_EQ(hits.size(), 4u);
   EXPECT_NE(hits[0].message.find("Engine::schedule"), std::string::npos);
   EXPECT_NE(hits[1].message.find("Engine::complete_attempt"), std::string::npos);
-  EXPECT_NE(hits[2].message.find("ThreadBackend::run_job"), std::string::npos);
+  EXPECT_NE(hits[2].message.find("SimBackend::launch"), std::string::npos);
+  EXPECT_NE(hits[3].message.find("ThreadBackend::run_job"), std::string::npos);
 }
 
 TEST(HotPathStdFunction, AllowsColdMethodsAndOtherFiles) {
-  // drive() takes a std::function once per wait (its own definition line —
-  // the method tracker must attribute it to drive, not the previous hot
-  // method); cold Engine methods and other files are out of scope.
+  // Backend::drive takes a std::function once per wait (its own definition
+  // line — the method tracker must attribute it to drive, not the previous
+  // hot method); cold Engine methods and other files are out of scope.
   const auto findings = lint_files(
       {{"src/runtime/thread_backend.cpp",
-        "void ThreadBackend::launch(const Dispatch& dispatch) {\n"
+        "void ThreadBackend::launch(const Dispatch& dispatch, bool) {\n"
         "  pool_.push(dispatch);\n"
-        "}\n"
-        "bool ThreadBackend::drive(const std::function<bool()>& finished) {\n"
-        "  while (!finished()) pump();\n"
+        "}\n"},
+       {"src/runtime/backend.cpp",
+        "void Backend::launch(const Dispatch& d, bool staged) { start(d); }\n"
+        "bool Backend::drive(const std::function<bool()>& finished, double deadline) {\n"
+        "  std::function<bool()> again = finished;\n"
+        "  while (!again()) collect(deadline, std::nullopt, batch);\n"
         "}\n"},
        {"src/runtime/engine.cpp",
         "void Engine::set_terminal_listener(std::function<void(TaskId)> listener) {\n"

@@ -15,6 +15,8 @@
 #include "jsonlite/json.hpp"
 #include "hpo/tpe.hpp"
 #include "runtime/runtime.hpp"
+#include "runtime/study_session.hpp"
+#include "support/log.hpp"
 
 namespace chpo {
 namespace {
@@ -808,6 +810,164 @@ TEST_P(BatchVsSequential, SimSchedulesAreBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchVsSequential, ::testing::Range<std::uint64_t>(7100, 7106));
+
+// ---------------------------------------------------------------------
+// Invariant 14 (golden simulator schedules): 60 seeded programs exercise
+// every engine duty and every kind of wait the drive loop serves — random
+// task failures, timeouts, backoff retries, speculation, a scheduled node
+// outage, kill_node/revive_node, input staging and lineage recovery,
+// pause/resume, cancellation, group and study barriers, wait_on/wait_any
+// and bounded wait_any_for/wait_all_for deadlines (zero budgets included). Each program's trace (kind, task,
+// study, attempt, node, cores, start/end to 1 ns) and every wait's answer
+// and clock reading fold into one FNV-1a hash. The tests above compare
+// two paths of one build; this constant pins the schedules themselves, so
+// a change that shifts both paths at once still shows.
+// ---------------------------------------------------------------------
+
+struct ScheduleHash {
+  std::uint64_t value = 1469598103934665603ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      value ^= (v >> (8 * i)) & 0xffU;
+      value *= 1099511628211ULL;
+    }
+  }
+  void add_time(double seconds) { add(static_cast<std::uint64_t>(std::llround(seconds * 1e9))); }
+};
+
+void run_golden_program(std::uint64_t seed, ScheduleHash& hash) {
+  Rng rng(seed * 7919 + 13);
+  const auto nodes = static_cast<std::size_t>(rng.next_int(2, 4));
+  RuntimeOptions opts;
+  cluster::NodeSpec node;
+  node.cpus = static_cast<unsigned>(rng.next_int(2, 4));
+  opts.cluster = cluster::homogeneous(nodes, node);
+  // Without a shared filesystem inputs are staged per node (a same-node
+  // retry keeps them) and a killed node's outputs need lineage recovery.
+  opts.cluster.has_parallel_fs = rng.next_bool(0.5);
+  opts.simulate = true;
+  opts.seed = seed;
+  opts.fault_policy.max_attempts = 4;
+  rt::FaultInjector injector(seed, rng.next_bool(0.5) ? 0.15 : 0.0);
+  if (rng.next_bool(0.3)) {
+    const double down = rng.next_uniform(2.0, 10.0);
+    injector.schedule_node_failure(nodes - 1, down);
+    injector.schedule_node_recovery(nodes - 1, down + rng.next_uniform(1.0, 8.0));
+  }
+  opts.injector = injector;
+  if (rng.next_bool(0.4)) opts.fault_policy.backoff_base_seconds = 0.5;
+  if (rng.next_bool(0.4)) {
+    opts.speculation.enabled = true;
+    opts.speculation.min_observations = 2;
+  }
+  Runtime runtime(std::move(opts));
+  rt::StudySession main = runtime.main_study();
+  rt::StudySession side = runtime.open_study({.name = "side", .weight = 2.0});
+
+  const auto note_wait = [&](rt::TaskId producer) {
+    hash.add(producer);
+    hash.add_time(runtime.now());
+  };
+  std::vector<Future> futures;
+  std::vector<bool> killed(nodes, false);
+  for (int round = 0; round < 6; ++round) {
+    const std::string group = "g" + std::to_string(round % 2);
+    const int wave = static_cast<int>(rng.next_int(3, 8));
+    for (int i = 0; i < wave; ++i) {
+      TaskDef def;
+      def.name = rng.next_bool(0.5) ? "short" : "long";
+      def.constraint = {.cpus = static_cast<unsigned>(rng.next_int(1, 2))};
+      def.body = [](TaskContext&) { return std::any(1); };
+      const double seconds = rng.next_uniform(0.5, 6.0);
+      def.cost = [seconds](const Placement& p, const cluster::NodeSpec&) {
+        return p.node == 1 ? 4.0 * seconds : seconds;
+      };
+      if (rng.next_bool(0.15)) def.timeout_seconds = rng.next_uniform(1.0, 8.0);
+      std::vector<rt::Param> params;
+      if (!futures.empty() && rng.next_bool(0.5))
+        params.push_back({futures[rng.next_index(futures.size())].data, Direction::In});
+      const int target = static_cast<int>(rng.next_int(0, 2));
+      if (target == 0)
+        futures.push_back(main.submit(def, params));
+      else if (target == 1)
+        futures.push_back(side.submit(def, params));
+      else
+        futures.push_back(runtime.submit_in_group(group, def, params));
+    }
+    for (int op = 0; op < 3; ++op) {
+      std::vector<Future> pick;
+      for (int k = 0; k < 3; ++k) pick.push_back(futures[rng.next_index(futures.size())]);
+      const double budget = rng.next_bool(0.2) ? 0.0 : rng.next_uniform(0.0, 4.0);
+      try {
+        switch (rng.next_int(0, 10)) {
+          case 0: note_wait(runtime.wait_any_for(pick, budget).producer); break;
+          case 1: note_wait(runtime.wait_all_for(budget) ? 1 : 0); break;
+          case 2: note_wait(runtime.wait_any(pick).producer); break;
+          case 3:
+            runtime.wait_on(pick[0]);
+            note_wait(pick[0].producer);
+            break;
+          case 4: {
+            const std::size_t victim = rng.next_index(nodes);
+            const auto alive = std::count(killed.begin(), killed.end(), false);
+            if (!killed[victim] && alive > 1) {
+              runtime.kill_node(victim);
+              killed[victim] = true;
+            }
+            break;
+          }
+          case 5:
+            for (std::size_t n = 0; n < nodes; ++n)
+              if (killed[n]) {
+                runtime.revive_node(n);
+                killed[n] = false;
+              }
+            break;
+          case 6: side.paused() ? side.resume() : side.pause(); break;
+          case 7:
+            runtime.barrier_group(group);
+            note_wait(runtime.group_succeeded(group) ? 1 : 0);
+            break;
+          case 8:
+            side.barrier();
+            note_wait(side.progress().terminal());
+            break;
+          case 9: note_wait(runtime.cancel(pick[0]) ? 1 : 0); break;
+          default: note_wait(side.wait_any_for(pick, budget).producer); break;
+        }
+      } catch (const rt::TaskFailedError& e) {
+        note_wait(e.task() + 1000000);
+      } catch (const std::runtime_error&) {
+        note_wait(2000000);  // an unbounded wait that cannot finish
+      }
+    }
+  }
+  side.resume();
+  for (std::size_t n = 0; n < nodes; ++n)
+    if (killed[n]) runtime.revive_node(n);
+  runtime.barrier();
+  note_wait(runtime.task_count());
+  for (const trace::Event& e : runtime.trace().events()) {
+    hash.add(static_cast<std::uint64_t>(e.kind));
+    hash.add(e.task_id);
+    hash.add(e.study);
+    hash.add(static_cast<std::uint64_t>(e.attempt));
+    hash.add(static_cast<std::uint64_t>(e.node));
+    hash.add(e.cores.size());
+    for (const unsigned core : e.cores) hash.add(core);
+    hash.add_time(e.t_start);
+    hash.add_time(e.t_end);
+  }
+}
+
+TEST(GoldenSchedules, SimulatorSchedulesMatchThePinnedHash) {
+  const LogLevel before = log_level();
+  set_log_level(LogLevel::Error);  // the programs fail, time out and kill by design
+  ScheduleHash hash;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) run_golden_program(seed, hash);
+  set_log_level(before);
+  EXPECT_EQ(hash.value, 2555243950870406634ULL) << "simulated schedules changed";
+}
 
 }  // namespace
 }  // namespace chpo

@@ -205,17 +205,25 @@ TEST(WaitAllFor, AdvancesExactlyToTheDeadline) {
   EXPECT_DOUBLE_EQ(runtime.now(), 100.0);
 }
 
-TEST(WaitAllFor, SimZeroBudgetStartsNoWork) {
-  // An already-expired deadline must not dispatch new tasks (ThreadBackend
-  // checks its deadline before scheduling; the simulator must match).
-  Runtime runtime(sim_cluster(1, 4));
-  runtime.submit(timed("w", 10.0));
-  EXPECT_FALSE(runtime.wait_all_for(0.0));
-  EXPECT_DOUBLE_EQ(runtime.now(), 0.0);
-  std::size_t scheduled = 0;
-  for (const auto& e : runtime.trace().events())
-    if (e.kind == trace::EventKind::TaskSchedule) ++scheduled;
-  EXPECT_EQ(scheduled, 0u);
+TEST(WaitAllFor, ZeroBudgetStartsNoWorkOnBothBackends) {
+  // An already-expired deadline must not dispatch new tasks: the drive loop
+  // checks its deadline before the scheduling round, for wait_all_for and
+  // wait_any_for alike.
+  for (const bool simulate : {true, false}) {
+    SCOPED_TRACE(simulate ? "sim" : "threads");
+    Runtime runtime(simulate ? sim_cluster(1, 4) : thread_cluster(2));
+    const Future f = runtime.submit(timed("w", 10.0));
+    EXPECT_FALSE(runtime.wait_all_for(0.0));
+    EXPECT_EQ(runtime.wait_any_for(std::vector<Future>{f}, 0.0).producer, kNoTask);
+    if (simulate) {
+      EXPECT_DOUBLE_EQ(runtime.now(), 0.0);
+    }
+    EXPECT_EQ(runtime.graph().task(f.producer).state, TaskState::Ready);
+    std::size_t scheduled = 0;
+    for (const auto& e : runtime.trace().events())
+      if (e.kind == trace::EventKind::TaskSchedule) ++scheduled;
+    EXPECT_EQ(scheduled, 0u);
+  }
 }
 
 TEST(WaitAllFor, ThreadBackendHonoursWallDeadline) {
@@ -248,6 +256,33 @@ TEST(WaitAnyFor, PausedOnlyStudyTimesOutOnBothBackends) {
     held.resume();
     EXPECT_EQ(runtime.wait_any_for(std::vector<Future>{f}, 30.0).producer, f.producer);
   }
+}
+
+TEST(Deadlock, UnboundedWaitOnPausedOnlyStudyThrowsOnBothBackends) {
+  // The only task is held by a paused study and nothing else is pending:
+  // an unbounded wait can never finish, so both backends leave the one
+  // drive loop through the same deadlock error instead of blocking.
+  std::vector<std::string> messages;
+  for (const bool simulate : {true, false}) {
+    SCOPED_TRACE(simulate ? "sim" : "threads");
+    Runtime runtime(simulate ? sim_cluster(1, 4) : thread_cluster(2));
+    StudySession held = runtime.open_study({.name = "held"});
+    held.pause();
+    const Future f = held.submit(timed("held", 1.0));
+    try {
+      runtime.wait_on(f);
+      ADD_FAILURE() << "wait_on returned";
+    } catch (const std::runtime_error& e) {
+      messages.emplace_back(e.what());
+    }
+    EXPECT_THROW(runtime.wait_any(std::vector<Future>{f}), std::runtime_error);
+    EXPECT_EQ(held.progress().ready, 1u);
+    held.resume();
+    EXPECT_EQ(runtime.wait_on_as<int>(f), 1);
+  }
+  ASSERT_EQ(messages.size(), 2u);
+  EXPECT_EQ(messages[0], messages[1]);
+  EXPECT_NE(messages[0].find("no task can run"), std::string::npos) << messages[0];
 }
 
 TEST(Callbacks, FireOnCompletionWithFinalState) {

@@ -540,9 +540,10 @@ void rule_lock_rank_order(const std::vector<SourceFile>& files,
 /// Methods on the per-dispatch hot path: every admission, scheduling round,
 /// attempt registration and completion crosses these, so a std::function
 /// there means a type-erasing heap allocation (and an indirect call the
-/// optimiser cannot devirtualise) per task. Coordinator-rate entry points
-/// like ThreadBackend::drive legitimately take std::function — once per
-/// wait, not once per task — and stay off this list.
+/// optimiser cannot devirtualise) per task. On the backends that is the
+/// per-dispatch launch and the per-completion collect (plus the thread
+/// pool's run_job). Backend::drive legitimately takes a std::function —
+/// once per wait, not once per task — and stays off this list.
 bool hot_path_method(const std::string& qualifier, const std::string& name) {
   if (qualifier == "Engine") {
     static const char* kHot[] = {"on_submitted",    "on_submitted_batch", "make_ready",
@@ -553,7 +554,7 @@ bool hot_path_method(const std::string& qualifier, const std::string& name) {
       if (name == method) return true;
     return false;
   }
-  static const char* kHot[] = {"launch", "run_job"};
+  static const char* kHot[] = {"launch", "collect", "run_job"};
   for (const char* method : kHot)
     if (name == method) return true;
   return false;
@@ -566,6 +567,10 @@ void rule_hot_path_std_function(const SourceFile& file, const std::vector<std::s
     qualifier = "Engine";
   else if (ends_with(file.path, "runtime/thread_backend.cpp"))
     qualifier = "ThreadBackend";
+  else if (ends_with(file.path, "runtime/sim_backend.cpp"))
+    qualifier = "SimBackend";
+  else if (ends_with(file.path, "runtime/backend.cpp"))
+    qualifier = "Backend";
   else
     return;
   const std::string marker = qualifier + "::";
@@ -575,7 +580,7 @@ void rule_hot_path_std_function(const SourceFile& file, const std::vector<std::s
     // Update the current method from *every* "<ret> Qual::name(" on the
     // line before flagging, so a definition whose own signature carries a
     // std::function is attributed to itself, not the previous method
-    // (e.g. "bool ThreadBackend::drive(const std::function<bool()>&...").
+    // (e.g. "bool Backend::drive(const std::function<bool()>& finished...").
     for (auto def = line.find(marker); def != std::string::npos;
          def = line.find(marker, def + 1)) {
       if (def > 0 && ident_char(line[def - 1])) continue;
