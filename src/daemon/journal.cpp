@@ -1,33 +1,15 @@
 #include "daemon/journal.hpp"
 
-#include <errno.h>
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 
 #include "support/log.hpp"
 
 namespace chpo::daemon {
-
-namespace {
-
-/// write() the whole buffer, riding out EINTR/partial writes.
-bool write_all(int fd, const char* data, std::size_t size) {
-  std::size_t off = 0;
-  while (off < size) {
-    const ssize_t n = ::write(fd, data + off, size - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 StateJournal::StateJournal(JournalOptions options) : options_(std::move(options)) {
   if (options_.path.empty()) return;
@@ -53,9 +35,9 @@ void StateJournal::crash_hook(const std::string& bytes) {
   // Abrupt death mid-operation: optionally tear the record in half first
   // so recovery also has to cope with a partial final write.
   if (crash_torn_) {
-    write_all(fd_, bytes.data(), bytes.size() / 2);
+    json::write_all(fd_, std::string_view(bytes).substr(0, bytes.size() / 2));
   } else {
-    write_all(fd_, bytes.data(), bytes.size());
+    json::write_all(fd_, bytes);
   }
   ::fsync(fd_);
   log_warn("daemon", "CHPO_CRASH_AFTER_OP hook firing: simulating kill -9");
@@ -67,7 +49,7 @@ bool StateJournal::append(const json::Value& record) {
   const std::string bytes = json::encode_record(record);
   const MutexLock lock(mutex_);
   crash_hook(bytes);
-  if (!write_all(fd_, bytes.data(), bytes.size())) {
+  if (!json::write_all(fd_, bytes)) {
     log_warn("daemon", "journal append failed: {} (running degraded)", std::strerror(errno));
     return false;
   }

@@ -1,12 +1,10 @@
 #include "daemon/server.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 
+#include "jsonlite/record.hpp"
 #include "support/log.hpp"
 
 namespace chpo::daemon {
@@ -23,42 +21,6 @@ std::string sanitize(const std::string& name) {
 
 bool terminal(service::StudyState state) {
   return state == service::StudyState::Finished || state == service::StudyState::Killed;
-}
-
-bool write_all(int fd, const char* data, std::size_t size) {
-  std::size_t off = 0;
-  while (off < size) {
-    const ssize_t n = ::write(fd, data + off, size - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// tmp + (fsync) + rename + (fsync dir): a crash leaves either the old
-/// file or the complete new one, never a torn manifest.
-bool atomic_write_file(const std::string& path, const std::string& bytes, bool durable) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  const bool ok = write_all(fd, bytes.data(), bytes.size());
-  if (ok && durable) ::fsync(fd);
-  ::close(fd);
-  if (!ok) return false;
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) return false;
-  if (durable) {
-    const std::string::size_type slash = path.find_last_of('/');
-    const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-    const int dfd = ::open(dir.c_str(), O_RDONLY);
-    if (dfd >= 0) {
-      ::fsync(dfd);
-      ::close(dfd);
-    }
-  }
-  return true;
 }
 
 JournalOptions journal_options(const ServerOptions& options) {
@@ -676,7 +638,7 @@ void Server::write_snapshot(bool include_paused) const {
   manifest.set("ordinal", json::Value(static_cast<std::int64_t>(ordinal_)));
   manifest.set("epoch", json::Value(static_cast<std::int64_t>(epoch_)));
   const std::string path = options_.state_dir + "/manifest.json";
-  if (!atomic_write_file(path, json::serialize_pretty(manifest) + "\n", options_.fsync))
+  if (!json::atomic_write_file(path, json::serialize_pretty(manifest) + "\n", options_.fsync))
     log_warn("daemon", "failed to write manifest snapshot at {}", path);
 }
 

@@ -1,9 +1,12 @@
 #include "hpo/checkpoint.hpp"
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <fcntl.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <stdexcept>
+
+#include "jsonlite/record.hpp"
 #include "reuse/snapshot_io.hpp"
 #include "support/log.hpp"
 
@@ -39,70 +42,47 @@ Trial trial_from_json(const json::Value& value) {
   return trial;
 }
 
-json::Value trials_to_json(const std::vector<Trial>& trials) {
-  json::Array array;
-  array.reserve(trials.size());
-  for (const Trial& t : trials) array.push_back(trial_to_json(t));
-  json::Value out;
-  out.set("format", json::Value("chpo-checkpoint-v1"));
-  out.set("trials", json::Value(std::move(array)));
-  return out;
-}
-
-std::vector<Trial> trials_from_json(const json::Value& value) {
-  if (!value.contains("format") || value.at("format").as_string() != "chpo-checkpoint-v1")
-    throw json::JsonError("checkpoint: unknown format");
-  std::vector<Trial> out;
-  for (const auto& t : value.at("trials").as_array()) out.push_back(trial_from_json(t));
-  return out;
-}
-
-void save_checkpoint(const std::string& path, const std::vector<Trial>& trials) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw std::runtime_error("checkpoint: cannot write " + tmp);
-    out << json::serialize_pretty(trials_to_json(trials)) << "\n";
-  }
-  std::filesystem::rename(tmp, path);
+void append_checkpoint(const std::string& path, const Trial& trial) {
+  const std::string record = json::encode_record(trial_to_json(trial));
+  const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
+  if (fd < 0) throw std::runtime_error("checkpoint: cannot open " + path);
+  const bool ok = json::write_all(fd, record);
+  ::close(fd);
+  if (!ok) throw std::runtime_error("checkpoint: cannot append to " + path);
 }
 
 std::vector<Trial> load_checkpoint(const std::string& path) {
-  if (!std::filesystem::exists(path)) return {};
-  // A checkpoint exists to survive crashes — including a crash mid-write of
-  // the checkpoint itself (or disk corruption). A file we cannot parse is a
-  // warned fresh start, never a fatal error; a file that parses but holds
-  // some damaged trial entries is salvaged entry by entry (the ResultCache
-  // policy): every intact trial is kept, the rest retrain.
-  try {
-    const json::Value value = json::parse_file(path);
-    if (!value.contains("format") || value.at("format").as_string() != "chpo-checkpoint-v1")
-      throw json::JsonError("checkpoint: unknown format");
-    std::vector<Trial> out;
-    std::size_t skipped = 0;
-    for (const auto& t : value.at("trials").as_array()) {
-      try {
-        out.push_back(trial_from_json(t));
-      } catch (const std::exception& e) {
-        ++skipped;
-        log_warn("hpo", "checkpoint {}: skipping corrupt trial entry ({})", path, e.what());
-      }
-    }
-    if (skipped > 0)
-      log_warn("hpo", "checkpoint {}: salvaged {} of {} trials", path, out.size(),
-               out.size() + skipped);
-    return out;
-  } catch (const std::exception& e) {
-    log_warn("hpo", "checkpoint {} unreadable ({}); starting fresh", path, e.what());
-    return {};
+  // A checkpoint exists to survive crashes — including a crash mid-append
+  // (or disk corruption). Whatever does not frame as records is a torn
+  // tail: dropped with a warning and cut off, so the next append starts
+  // on a record boundary instead of gluing onto the damage.
+  const json::RecordReplay replay = json::read_records(path);
+  if (replay.torn()) {
+    log_warn("hpo", "checkpoint {}: dropping {} torn bytes after {} records ({})", path,
+             replay.torn_bytes, replay.records.size(), replay.torn_error);
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (!ec) std::filesystem::resize_file(path, size - replay.torn_bytes, ec);
+    if (ec) log_warn("hpo", "checkpoint {}: cannot cut the torn tail ({})", path, ec.message());
   }
+  std::vector<Trial> out;
+  out.reserve(replay.records.size());
+  for (const json::Value& record : replay.records) {
+    try {
+      out.push_back(trial_from_json(record));
+    } catch (const std::exception& e) {
+      log_warn("hpo", "checkpoint {}: skipping corrupt trial record ({})", path, e.what());
+    }
+  }
+  return out;
 }
 
-const Trial* find_completed(const std::vector<Trial>& previous, const Config& config) {
-  const std::string key = json::serialize(config);
-  for (const Trial& t : previous)
-    if (!t.failed && json::serialize(t.config) == key) return &t;
-  return nullptr;
+std::unordered_map<std::string, ml::TrainResult> completed_by_config(
+    const std::vector<Trial>& trials) {
+  std::unordered_map<std::string, ml::TrainResult> out;
+  for (const Trial& t : trials)
+    if (!t.failed) out.try_emplace(json::serialize(t.config), t.result);
+  return out;
 }
 
 }  // namespace chpo::hpo

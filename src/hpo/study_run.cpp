@@ -84,18 +84,25 @@ bool StudyRun::stop_hit(const Trial& trial) const {
          trial.result.final_val_accuracy >= options_.stop_on_accuracy;
 }
 
-void StudyRun::record_replayed(const Config& config, const ml::TrainResult& result) {
-  Trial trial;
-  trial.index = next_index_++;
-  trial.config = config;
-  trial.result = result;
-  algorithm_.tell(trial.config, trial.result.final_val_accuracy);
-  ++replayed_;
+void StudyRun::record(Trial trial, bool from_checkpoint) {
+  if (!trial.failed) algorithm_.tell(trial.config, trial.result.final_val_accuracy);
+  if (from_checkpoint)
+    ++replayed_;
+  else if (!options_.checkpoint_path.empty())
+    append_checkpoint(options_.checkpoint_path, trial);
   outcome_.trials.push_back(std::move(trial));
   if (stop_hit(outcome_.trials.back())) {
     stopped_ = true;
     cancel_outstanding();
   }
+}
+
+bool StudyRun::replay_from_checkpoint(const Config& config) {
+  const auto it = restored_.find(json::serialize(config));
+  if (it == restored_.end()) return false;
+  record({.index = next_index_++, .config = config, .result = it->second},
+         /*from_checkpoint=*/true);
+  return true;
 }
 
 void StudyRun::rebuild_futures() {
@@ -107,8 +114,8 @@ void StudyRun::rebuild_futures() {
 void StudyRun::start() {
   t0_ = session_.now();
   started_ = true;
-  restored_ = options_.checkpoint_path.empty() ? std::vector<Trial>{}
-                                               : load_checkpoint(options_.checkpoint_path);
+  if (!options_.checkpoint_path.empty())
+    restored_ = completed_by_config(load_checkpoint(options_.checkpoint_path));
 
   // Cross-trial reuse: trials become stage chains through a shared
   // executor + cache instead of monolithic experiment tasks. CV trials
@@ -144,10 +151,7 @@ void StudyRun::top_up() {
       exhausted_ = true;
       break;
     }
-    if (const Trial* previous = find_completed(restored_, *config)) {
-      record_replayed(*config, previous->result);
-      continue;
-    }
+    if (replay_from_checkpoint(*config)) continue;
     InFlight f;
     f.index = next_index_++;
     f.config = *config;
@@ -158,17 +162,8 @@ void StudyRun::top_up() {
       std::vector<reuse::SubmittedTrial> submitted = executor_->submit({req});
       if (!submitted.empty() && submitted.front().replayed) {
         // Served entirely by the result cache; next_index_ already moved on.
-        Trial trial;
-        trial.index = f.index;
-        trial.config = *config;
-        trial.result = *submitted.front().replayed;
-        algorithm_.tell(trial.config, trial.result.final_val_accuracy);
-        ++replayed_;
-        outcome_.trials.push_back(std::move(trial));
-        if (stop_hit(outcome_.trials.back())) {
-          stopped_ = true;
-          cancel_outstanding();
-        }
+        record({.index = f.index, .config = *config, .result = *submitted.front().replayed},
+               /*from_checkpoint=*/false);
         continue;
       }
       f.future = submitted.front().future;
@@ -192,10 +187,7 @@ void StudyRun::start_batch_reuse() {
   while (true) {
     const std::optional<Config> config = algorithm_.next();
     if (!config) break;
-    if (const Trial* previous = find_completed(restored_, *config)) {
-      record_replayed(*config, previous->result);
-      continue;
-    }
+    if (replay_from_checkpoint(*config)) continue;
     reuse::TrialRequest req;
     req.index = next_index_++;
     req.config = experiment_train_config(*config, options_, req.index);
@@ -208,17 +200,9 @@ void StudyRun::start_batch_reuse() {
   for (std::size_t i = 0; i < submitted.size(); ++i) {
     const reuse::SubmittedTrial& s = submitted[i];
     if (s.replayed) {
-      Trial trial;
-      trial.index = s.index;
-      trial.config = request_configs[i];
-      trial.result = *s.replayed;
-      algorithm_.tell(trial.config, trial.result.final_val_accuracy);
-      outcome_.trials.push_back(std::move(trial));
-      if (stop_hit(outcome_.trials.back())) {
-        stopped_ = true;
-        cancel_outstanding();
-        return;
-      }
+      record({.index = s.index, .config = request_configs[i], .result = *s.replayed},
+             /*from_checkpoint=*/false);
+      if (stopped_) return;
       continue;
     }
     InFlight f;
@@ -253,21 +237,13 @@ void StudyRun::on_trial_complete(const rt::Future& finished) {
   inflight_.erase(it);
   try {
     trial.result = session_.wait_on_as<ml::TrainResult>(finished);
-    algorithm_.tell(trial.config, trial.result.final_val_accuracy);
     if (vis.producer != rt::kNoTask) vis_done_.push_back(vis);
   } catch (const rt::TaskFailedError& e) {
     trial.failed = true;
     trial.failure_reason = e.what();
   }
-  outcome_.trials.push_back(std::move(trial));
-  if (!options_.checkpoint_path.empty())
-    save_checkpoint(options_.checkpoint_path, outcome_.trials);
-  if (stop_hit(outcome_.trials.back())) {
-    stopped_ = true;
-    cancel_outstanding();
-  } else {
-    top_up();
-  }
+  record(std::move(trial), /*from_checkpoint=*/false);
+  if (!stopped_) top_up();
   rebuild_futures();
 }
 

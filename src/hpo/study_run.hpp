@@ -19,6 +19,8 @@
 
 #include <memory>
 #include <optional>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "hpo/algorithms.hpp"
@@ -117,7 +119,13 @@ class StudyRun : public TrialPump {
   /// once so shared prefixes merge into one tree.
   void start_batch_reuse();
   bool stop_hit(const Trial& trial) const;
-  void record_replayed(const Config& config, const ml::TrainResult& result);
+  /// The one way a finished trial enters the outcome: tell the algorithm
+  /// (unless it failed), append it to the checkpoint log (unless it was
+  /// replayed from there), and stop the study when it crosses the
+  /// threshold.
+  void record(Trial trial, bool from_checkpoint);
+  /// Replay `config` from the loaded checkpoint if it completed there.
+  bool replay_from_checkpoint(const Config& config);
   void cancel_outstanding();
   void rebuild_futures();
 
@@ -127,7 +135,7 @@ class StudyRun : public TrialPump {
   SearchAlgorithm& algorithm_;
   double t0_ = 0.0;
   HpoOutcome outcome_;
-  std::vector<Trial> restored_;
+  std::unordered_map<std::string, ml::TrainResult> restored_;  ///< checkpoint, by config
   std::optional<reuse::StageExecutor> executor_;
   std::size_t window_ = 1;
   std::vector<InFlight> inflight_;

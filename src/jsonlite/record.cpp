@@ -1,6 +1,11 @@
 #include "jsonlite/record.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <array>
+#include <cerrno>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -90,25 +95,60 @@ RecordReplay read_records(const std::string& path) {
 
   std::size_t pos = 0;
   while (pos < bytes.size()) {
-    std::size_t nl = bytes.find('\n', pos);
-    const bool last_unterminated = nl == std::string::npos;
-    if (last_unterminated) nl = bytes.size();
-    const std::string_view line(bytes.data() + pos, nl - pos);
-    if (line.empty()) {  // blank line: tolerate, skip
-      pos = nl + 1;
+    const std::size_t nl = bytes.find('\n', pos);
+    if (nl == pos) {  // blank line: tolerate, skip
+      ++pos;
       continue;
     }
-    RecordDecode decode = decode_record(line);
+    RecordDecode decode;
+    if (nl == std::string::npos)
+      decode.error = "record lacks its terminating newline (torn write)";
+    else
+      decode = decode_record(std::string_view(bytes).substr(pos, nl - pos));
     if (!decode.ok()) {
       replay.torn_bytes = bytes.size() - pos;
       replay.torn_error = decode.error;
       return replay;
     }
     replay.records.push_back(std::move(decode.value));
-    if (last_unterminated) break;
     pos = nl + 1;
   }
   return replay;
+}
+
+bool write_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+bool atomic_write_file(const std::string& path, std::string_view bytes, bool durable) {
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+  if (fd < 0) return false;
+  bool ok = write_all(fd, bytes);
+  if (ok && durable) ok = ::fsync(fd) == 0;
+  ok = ::close(fd) == 0 && ok;
+  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    return false;
+  }
+  if (durable) {
+    const std::string::size_type slash = path.find_last_of('/');
+    const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
+    const int dfd = ::open(dir.c_str(), O_RDONLY);
+    if (dfd >= 0) {
+      ::fsync(dfd);
+      ::close(dfd);
+    }
+  }
+  return true;
 }
 
 }  // namespace chpo::json

@@ -10,7 +10,12 @@
 // whose CRC or JSON does not check out — everything before the torn tail
 // is trusted, everything from it on is discarded (and reported, so the
 // journal owner can warn). Compact serialization never emits raw
-// newlines, so the line boundary is unambiguous.
+// newlines, so the line boundary is unambiguous. Trial checkpoints
+// (hpo/checkpoint.hpp) are record logs of the same shape.
+//
+// The module also owns the one whole-file write policy (write_all,
+// atomic_write_file) that the daemon manifest and the reuse cache share:
+// how a durable file is written and re-read is decided here only.
 #pragma once
 
 #include <cstdint>
@@ -52,10 +57,20 @@ struct RecordReplay {
 
 /// Read `path` and decode records until the first corrupt or torn line.
 /// A missing file is an empty, untorn replay — append-only logs start
-/// empty. A final line with no '\n' is decoded if it checks out (the
-/// crash landed between write and newline being visible is impossible —
-/// the newline is part of the same write — but a torn write may still
-/// keep the line intact up to the cut).
+/// empty. A record is committed only with its '\n' (encode_record writes
+/// both in one write), so a final line without one is part of the torn
+/// tail even when its CRC checks out: a later append would otherwise glue
+/// onto it.
 RecordReplay read_records(const std::string& path);
+
+/// write() all of `bytes` to `fd`, riding out EINTR and partial writes.
+bool write_all(int fd, std::string_view bytes);
+
+/// Replace `path` with `bytes` as a whole: write `<path>.tmp`, then rename
+/// it over `path`, so a crash leaves either the old file or the complete
+/// new one. `durable` adds an fsync of the file before the rename and of
+/// its directory after it. Returns false (leaving no `.tmp` behind) when
+/// any step fails.
+bool atomic_write_file(const std::string& path, std::string_view bytes, bool durable);
 
 }  // namespace chpo::json

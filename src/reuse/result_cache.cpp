@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "jsonlite/json.hpp"
+#include "jsonlite/record.hpp"
 #include "reuse/snapshot_io.hpp"
 #include "support/log.hpp"
 
@@ -131,26 +132,9 @@ std::optional<ml::TrainResult> ResultCache::load_result_from_disk(const StageKey
 
 void ResultCache::persist(const std::string& path, const std::string& bytes) {
   if (!disk_ok_) return;
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      log_warn("reuse", "cannot write cache entry {}", tmp);
-      return;
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out.good()) {
-      log_warn("reuse", "short write for cache entry {}", tmp);
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    log_warn("reuse", "cannot commit cache entry {} ({})", path, ec.message());
-    fs::remove(tmp, ec);
+  // Cache entries are recomputable, so no fsync: a crash costs a retrain.
+  if (!json::atomic_write_file(path, bytes, /*durable=*/false)) {
+    log_warn("reuse", "cannot write cache entry {}", path);
     return;
   }
   stats_.bytes_written += bytes.size();

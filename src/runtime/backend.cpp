@@ -15,8 +15,8 @@ bool Backend::drive(const std::function<bool()>& finished, double deadline) {
     // Timed engine duties first (node events, overdue attempts, backoff
     // expiries, speculative duplicates), then regular placement. Both can
     // turn tasks terminal, so flush before re-checking the target.
-    for (const Dispatch& d : engine_.on_wakeup(now())) launch(d, false);
-    for (const Dispatch& d : engine_.schedule(now())) launch(d, false);
+    for (const Dispatch& d : engine_.on_wakeup(now())) launch(d);
+    for (const Dispatch& d : engine_.schedule(now())) launch(d);
     engine_.flush_notifications();
 
     if (finished()) return true;
@@ -51,7 +51,7 @@ bool Backend::drive(const std::function<bool()>& finished, double deadline) {
     for (Finished& f : batch) {
       Engine::Completion completion =
           engine_.complete_attempt(f.attempt_id, std::move(f.result), f.start, f.end);
-      if (completion.retry) launch(*completion.retry, true);
+      if (completion.retry) launch(*completion.retry);
     }
     // Safe point: the engine holds no record references here, so queued
     // terminal notifications (and their user callbacks) can fire.

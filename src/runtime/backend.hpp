@@ -71,9 +71,8 @@ class Backend {
     double end = 0.0;
   };
 
-  /// Start one attempt. `staged`: a same-node retry whose inputs are
-  /// already on the node (the simulator charges no second staging).
-  virtual void launch(const Dispatch& dispatch, bool staged) CHPO_REQUIRES(g_engine_ctx) = 0;
+  /// Start one attempt.
+  virtual void launch(const Dispatch& dispatch) CHPO_REQUIRES(g_engine_ctx) = 0;
   /// True iff some attempt (or, on the simulator, any queued event) can
   /// still land, i.e. collect() has something to wait for.
   virtual bool in_flight() CHPO_REQUIRES(g_engine_ctx) = 0;

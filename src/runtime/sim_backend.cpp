@@ -39,9 +39,9 @@ double SimBackend::task_duration(const TaskRecord& record, const Placement& plac
   return seconds > 0.0 ? seconds : 0.0;
 }
 
-void SimBackend::launch(const Dispatch& d, bool staged) {
+void SimBackend::launch(const Dispatch& d) {
   const TaskRecord& record = engine_.graph().task(d.task);
-  const double staging = staged ? 0.0 : engine_.stage_inputs(d.task, d.placement.node, now_);
+  const double staging = engine_.stage_inputs(d.task, d.placement.node, now_);
   const double duration = task_duration(record, d.placement);
 
   Ev ev;

@@ -32,7 +32,7 @@ class SimBackend : public Backend {
   double now() const override { return now_; }
 
  protected:
-  void launch(const Dispatch& dispatch, bool staged) override CHPO_REQUIRES(g_engine_ctx);
+  void launch(const Dispatch& dispatch) override CHPO_REQUIRES(g_engine_ctx);
   /// Arms the next engine wakeup, then reports whether any event is queued.
   /// Deliberately not running_count() > 0: the stale TaskEnd of a reaped
   /// attempt still advances the virtual clock when it pops.

@@ -25,7 +25,7 @@ ThreadBackend::ThreadBackend(Engine& engine)
       pool_(std::make_unique<StealPool>(pool_size_for(engine.resources()),
                                         &ThreadBackend::run_job, this)) {}
 
-void ThreadBackend::launch(const Dispatch& dispatch, bool) {
+void ThreadBackend::launch(const Dispatch& dispatch) {
   // Timeouts are enforced by the coordinator: the engine reaps the attempt
   // at its deadline (Engine::on_wakeup) while the body is still running,
   // and this worker's eventual completion is then dropped as stale. The

@@ -35,9 +35,9 @@ class ThreadBackend : public Backend {
   std::uint64_t steals() const override { return pool_ ? pool_->steals() : 0; }
 
  protected:
-  /// Hands a body snapshot to the pool; `staged` is moot here (workers
-  /// read the registry directly, there is no staging to repeat).
-  void launch(const Dispatch& dispatch, bool staged) override CHPO_REQUIRES(g_engine_ctx);
+  /// Hands a body snapshot to the pool (workers read the registry
+  /// directly, there is no staging to charge).
+  void launch(const Dispatch& dispatch) override CHPO_REQUIRES(g_engine_ctx);
   bool in_flight() override CHPO_REQUIRES(g_engine_ctx) { return engine_.running_count() > 0; }
   void idle_until(double t) override;
   /// Waits on the completion queue until it is non-empty, the deadline or

@@ -124,13 +124,15 @@ void run_chaos(std::uint64_t seed, bool simulate) {
     opts.speculation.min_observations = 3;
     opts.speculation.straggler_multiplier = 2.0;
   }
+  // Callback-captured state outlives the Runtime: on an early exit its
+  // destructor's final barrier still fires the completion callbacks.
+  std::vector<std::atomic<int>> fires(kTasks);
   Runtime runtime(std::move(opts));
   (void)runtime.drain_completions();  // opt in to completion recording
 
   std::vector<DataId> counters;
   for (int c = 0; c < kChains; ++c) counters.push_back(runtime.share<int>(0));
   std::vector<int> chain_of(kTasks, -1);
-  std::vector<std::atomic<int>> fires(kTasks);
 
   std::vector<Future> futures;
   for (int i = 0; i < kTasks; ++i) {
@@ -296,15 +298,15 @@ TEST(ChaosStealing, FourStudiesChurnAndSpeculationKeepWorkersStealing) {
   opts.speculation.enabled = true;
   opts.speculation.min_observations = 3;
   opts.speculation.straggler_multiplier = 4.0;
+  // Declared before the Runtime, which fires callbacks until it is gone.
+  std::array<std::vector<std::atomic<int>>, kStudies> fires;
+  for (auto& per_task : fires) per_task = std::vector<std::atomic<int>>(kPerStudy);
   Runtime runtime(std::move(opts));
 
   std::vector<StudySession> sessions;
   sessions.push_back(runtime.main_study());
   for (int s = 1; s < kStudies; ++s)
     sessions.push_back(runtime.open_study({.name = "steal-" + std::to_string(s)}));
-
-  std::array<std::vector<std::atomic<int>>, kStudies> fires;
-  for (auto& per_task : fires) per_task = std::vector<std::atomic<int>>(kPerStudy);
 
   std::array<std::vector<Future>, kStudies> futures;
   for (int s = 0; s < kStudies; ++s) {

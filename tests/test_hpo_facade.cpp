@@ -8,6 +8,7 @@
 #include "hpo/algorithms.hpp"
 #include "hpo/checkpoint.hpp"
 #include "hpo/optimize.hpp"
+#include "jsonlite/record.hpp"
 
 namespace chpo::hpo {
 namespace {
@@ -89,7 +90,7 @@ TEST_F(CheckpointFixture, RoundTripPreservesTrials) {
   failed.failure_reason = "node failure";
   trials.push_back(failed);
 
-  save_checkpoint(path, trials);
+  for (const Trial& t : trials) append_checkpoint(path, t);
   const std::vector<Trial> loaded = load_checkpoint(path);
   ASSERT_EQ(loaded.size(), 3u);
   EXPECT_DOUBLE_EQ(loaded[0].result.final_val_accuracy, 0.8);
@@ -116,14 +117,38 @@ TEST_F(CheckpointFixture, CorruptFileStartsFresh) {
 
 TEST_F(CheckpointFixture, FindCompletedMatchesByConfig) {
   const std::vector<Trial> trials{make_trial(0, "Adam", 0.8), make_trial(1, "SGD", 0.7)};
+  const auto completed = completed_by_config(trials);
   Config probe;
   probe.set("optimizer", json::Value("SGD"));
   probe.set("num_epochs", json::Value(2));
-  const Trial* hit = find_completed(trials, probe);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_DOUBLE_EQ(hit->result.final_val_accuracy, 0.7);
+  const auto hit = completed.find(json::serialize(probe));
+  ASSERT_NE(hit, completed.end());
+  EXPECT_DOUBLE_EQ(hit->second.final_val_accuracy, 0.7);
   probe.set("num_epochs", json::Value(3));
-  EXPECT_EQ(find_completed(trials, probe), nullptr);
+  EXPECT_EQ(completed.find(json::serialize(probe)), completed.end());
+
+  // A config that failed, then completed twice (a resumed study retrains
+  // what failed): the failure is skipped and the first completion is kept.
+  Trial failed = make_trial(0, "Adam", 0.0);
+  failed.failed = true;
+  const auto repeated =
+      completed_by_config({failed, make_trial(1, "Adam", 0.8), make_trial(2, "Adam", 0.6)});
+  ASSERT_EQ(repeated.size(), 1u);
+  EXPECT_DOUBLE_EQ(repeated.begin()->second.final_val_accuracy, 0.8);
+}
+
+TEST_F(CheckpointFixture, AppendWritesOneRecordPerTrial) {
+  // O(1) checkpoint I/O per trial: each append grows the log by exactly
+  // that trial's record, whatever the log already holds.
+  std::uintmax_t size = 0;
+  for (int i = 0; i < 5; ++i) {
+    const Trial trial = make_trial(i, i % 2 == 0 ? "Adam" : "SGD", 0.5 + 0.05 * i);
+    append_checkpoint(path, trial);
+    const std::uintmax_t grown = std::filesystem::file_size(path);
+    EXPECT_EQ(grown - size, json::encode_record(trial_to_json(trial)).size()) << "trial " << i;
+    size = grown;
+  }
+  EXPECT_EQ(load_checkpoint(path).size(), 5u);
 }
 
 TEST_F(CheckpointFixture, DriverReplaysCheckpointedTrials) {
@@ -176,7 +201,7 @@ TEST_F(CheckpointFixture, PartialCheckpointOnlySkipsCompleted) {
     t.config = grid_configs[static_cast<std::size_t>(i)];
     partial.push_back(std::move(t));
   }
-  save_checkpoint(path, partial);
+  for (const Trial& t : partial) append_checkpoint(path, t);
 
   cluster::NodeSpec node;
   node.cpus = 2;

@@ -318,6 +318,18 @@ TEST(Record, ReadRecordsStopsAtTornTail) {
   EXPECT_TRUE(replay.torn());
   EXPECT_GT(replay.torn_bytes, 0u);
   EXPECT_FALSE(replay.torn_error.empty());
+
+  // A record commits with its newline: an intact payload without one is
+  // still the torn tail, so an append after it cannot glue onto it.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const std::string last = encode_record(record(2));
+    out << encode_record(record(1)) << last.substr(0, last.size() - 1);
+  }
+  const RecordReplay unterminated = read_records(path);
+  ASSERT_EQ(unterminated.records.size(), 1u);
+  EXPECT_TRUE(unterminated.torn());
+  EXPECT_EQ(unterminated.torn_bytes, encode_record(record(2)).size() - 1);
   std::filesystem::remove(path);
 }
 
@@ -354,6 +366,28 @@ TEST(Record, CorruptRecordMidFileDiscardsEverythingAfter) {
   EXPECT_EQ(replay.records[0].at("n").as_int(), 1);
   EXPECT_TRUE(replay.torn());
   std::filesystem::remove(path);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(Record, AtomicWriteFileReplacesWholeFileAndCleansUp) {
+  const std::string path = temp_record_path("atomic");
+  for (const bool durable : {false, true}) {
+    ASSERT_TRUE(atomic_write_file(path, "a longer first version\n", durable));
+    EXPECT_EQ(slurp(path), "a longer first version\n");
+    ASSERT_TRUE(atomic_write_file(path, "short\n", durable));
+    EXPECT_EQ(slurp(path), "short\n") << "durable=" << durable;  // replaced, not overwritten
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp")) << "durable=" << durable;
+  }
+  std::filesystem::remove(path);
+
+  const std::string missing =
+      (std::filesystem::temp_directory_path() / "chpo_no_such_dir" / "file.json").string();
+  EXPECT_FALSE(atomic_write_file(missing, "x", true));
+  EXPECT_FALSE(std::filesystem::exists(missing + ".tmp"));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // through the HPO driver on both backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -11,6 +12,7 @@
 #include "hpo/checkpoint.hpp"
 #include "hpo/driver.hpp"
 #include "hpo/hyperband.hpp"
+#include "jsonlite/record.hpp"
 #include "ml/dataset.hpp"
 #include "ml/trainer.hpp"
 #include "reuse/planner.hpp"
@@ -311,8 +313,10 @@ TEST(CheckpointRobustness, CorruptCheckpointStartsFreshInsteadOfThrowing) {
   fs::create_directories(dir.path);
   const fs::path path = dir.path / "checkpoint.json";
   {
+    // A whole-file JSON checkpoint from before the record log: not framed
+    // as records, so it is a warned fresh start.
     std::ofstream out(path);
-    out << "{\"format\": \"chpo-checkpoint-v1\", \"trials\": [{\"ind";  // truncated
+    out << "{\n  \"trials\": [\n    {\n      \"index\": 0\n    }\n  ]\n}\n";
   }
   EXPECT_TRUE(hpo::load_checkpoint(path.string()).empty());
   {
@@ -337,15 +341,15 @@ hpo::Trial make_checkpoint_trial(int index) {
 
 TEST(CheckpointRobustness, TruncationAtEveryPrefixNeverThrows) {
   // Mirror of SnapshotIo.TruncationAtEveryPrefixThrowsNeverCrashes for the
-  // checkpoint file: a crash can leave any prefix of the JSON on disk, and
-  // every one of them must load as a warned empty-or-partial result, never
-  // an exception or a crash.
+  // checkpoint log: a crash can leave any prefix of it on disk, and every
+  // one of them must load without an exception or a crash, replaying
+  // exactly the records whose line (newline included) survived the cut.
   TempDir dir("ckpt_prefix");
   fs::create_directories(dir.path);
   const fs::path path = dir.path / "checkpoint.json";
   const std::vector<hpo::Trial> trials = {make_checkpoint_trial(0), make_checkpoint_trial(1),
                                           make_checkpoint_trial(2)};
-  hpo::save_checkpoint(path.string(), trials);
+  for (const hpo::Trial& t : trials) hpo::append_checkpoint(path.string(), t);
   std::string bytes;
   {
     std::ifstream in(path, std::ios::binary);
@@ -357,24 +361,49 @@ TEST(CheckpointRobustness, TruncationAtEveryPrefixNeverThrows) {
       std::ofstream out(path, std::ios::trunc | std::ios::binary);
       out << bytes.substr(0, cut);
     }
+    const auto whole_lines =
+        static_cast<std::size_t>(std::count(bytes.begin(), bytes.begin() + cut, '\n'));
     std::vector<hpo::Trial> loaded;
     EXPECT_NO_THROW(loaded = hpo::load_checkpoint(path.string())) << "prefix " << cut;
     EXPECT_LE(loaded.size(), trials.size()) << "prefix " << cut;
+    EXPECT_EQ(loaded.size(), whole_lines) << "prefix " << cut;
   }
 }
 
+TEST(CheckpointRobustness, TornTailIsCutSoLaterAppendsReplay) {
+  // Without the cut, the next append would glue onto the torn half record
+  // and be lost with it on the following load.
+  TempDir dir("ckpt_torn");
+  fs::create_directories(dir.path);
+  const std::string path = (dir.path / "checkpoint.json").string();
+  hpo::append_checkpoint(path, make_checkpoint_trial(0));
+  hpo::append_checkpoint(path, make_checkpoint_trial(1));
+  {
+    const std::string record = json::encode_record(hpo::trial_to_json(make_checkpoint_trial(2)));
+    std::ofstream out(path, std::ios::app | std::ios::binary);
+    out << record.substr(0, record.size() / 2);  // a crash mid-append
+  }
+  EXPECT_EQ(hpo::load_checkpoint(path).size(), 2u);
+  hpo::append_checkpoint(path, make_checkpoint_trial(2));
+  const std::vector<hpo::Trial> loaded = hpo::load_checkpoint(path);
+  ASSERT_EQ(loaded.size(), 3u);
+  EXPECT_EQ(loaded[2].index, 2);
+  EXPECT_DOUBLE_EQ(loaded[2].result.final_val_accuracy, 0.7);
+}
+
 TEST(CheckpointRobustness, DamagedTrialEntryIsSkippedIntactOnesSalvaged) {
-  // Parseable file, one rotten entry: the other trials must replay (the
-  // ResultCache policy — salvage what is intact, retrain the rest).
+  // Intact records, one of them not a trial: the other trials must replay
+  // (the ResultCache policy — salvage what is intact, retrain the rest).
   TempDir dir("ckpt_salvage");
   fs::create_directories(dir.path);
   const fs::path path = dir.path / "checkpoint.json";
   {
-    std::ofstream out(path);
-    out << "{\"format\": \"chpo-checkpoint-v1\", \"trials\": ["
-        << json::serialize(hpo::trial_to_json(make_checkpoint_trial(0))) << ", "
-        << "{\"index\": \"rotten\"}, "
-        << json::serialize(hpo::trial_to_json(make_checkpoint_trial(2))) << "]}";
+    json::Value rotten;
+    rotten.set("index", json::Value("rotten"));
+    std::ofstream out(path, std::ios::binary);
+    out << json::encode_record(hpo::trial_to_json(make_checkpoint_trial(0)))
+        << json::encode_record(rotten)
+        << json::encode_record(hpo::trial_to_json(make_checkpoint_trial(2)));
   }
   const std::vector<hpo::Trial> loaded = hpo::load_checkpoint(path.string());
   ASSERT_EQ(loaded.size(), 2u);
@@ -508,7 +537,8 @@ rt::RuntimeOptions thread_cluster(unsigned cpus = 4) {
   return opts;
 }
 
-hpo::HpoOutcome run_grid(const ml::Dataset& dataset, bool merge, const std::string& cache_dir) {
+hpo::HpoOutcome run_grid(const ml::Dataset& dataset, bool merge, const std::string& cache_dir,
+                         const std::string& checkpoint = "") {
   rt::Runtime runtime(thread_cluster());
   hpo::DriverOptions options;
   options.epoch_divisor = 1;
@@ -516,6 +546,7 @@ hpo::HpoOutcome run_grid(const ml::Dataset& dataset, bool merge, const std::stri
   options.reuse.enabled = true;
   options.reuse.merge = merge;
   options.reuse.cache_dir = cache_dir;
+  options.checkpoint_path = checkpoint;
   hpo::HpoDriver driver(runtime.main_study(), dataset, options);
   hpo::GridSearch grid(reuse_space());
   return driver.run(grid);
@@ -574,6 +605,22 @@ TEST(DriverReuse, WarmCacheReplaysEverythingWithoutTasks) {
   expect_trials_bit_identical(cold.trials, warm.trials);
   // Replayed trials consumed no runtime attempts.
   for (const hpo::Trial& t : warm.trials) EXPECT_EQ(t.attempts, 0);
+}
+
+TEST(DriverReuse, CacheServedTrialsAreCheckpointed) {
+  // A trial the result cache serves is still a finished trial of this
+  // study: it goes into the checkpoint log like a trained one, so a crash
+  // after it does not lose it even when no trial trains afterwards.
+  TempDir dir("warm_ckpt");
+  const ml::Dataset dataset = ml::make_mnist_like(120, 40, 13);
+  (void)run_grid(dataset, true, dir.str());
+  const std::string checkpoint = (dir.path / "trials.ndjson").string();
+  const hpo::HpoOutcome warm = run_grid(dataset, true, dir.str(), checkpoint);
+  ASSERT_TRUE(warm.reuse.has_value());
+  ASSERT_EQ(warm.reuse->replayed_trials, warm.trials.size());
+  const std::vector<hpo::Trial> logged = hpo::load_checkpoint(checkpoint);
+  ASSERT_EQ(logged.size(), warm.trials.size());
+  expect_trials_bit_identical(warm.trials, logged);
 }
 
 TEST(DriverReuse, SimBackendPlansMergedGraph) {

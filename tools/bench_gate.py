@@ -2,8 +2,10 @@
 """Perf-regression gate over BENCH_engine.json.
 
 Compares a fresh bench_engine_throughput run against the latest committed
-baseline row per (backend, studies) configuration and fails when tasks/s
-drops more than the threshold below it. On a pass, --append folds the new
+baseline row with the same (backend, studies, tasks, host_threads) key and
+fails when tasks/s drops more than the threshold below it. A row measured
+on a host with a different thread count is not a baseline: a key with no
+committed row is accepted and, with --append, becomes the first one. On a pass, --append folds the new
 rows (with their commit/date/host_threads provenance) into the committed
 file so the baseline history keeps growing.
 
@@ -34,12 +36,17 @@ def load_rows(path):
     return doc, rows
 
 
+def config_key(row):
+    """What a baseline must share with a new row to be comparable."""
+    return (row.get("backend"), row.get("studies"), row.get("tasks"), row.get("host_threads"))
+
+
 def latest_per_config(rows):
-    """Last committed row per (backend, studies) — the file is append-only
-    history, so the last entry is the newest baseline."""
+    """Last committed row per config_key — the file is append-only history,
+    so the last entry is the newest baseline."""
     latest = {}
     for row in rows:
-        latest[(row.get("backend"), row.get("studies"))] = row
+        latest[config_key(row)] = row
     return latest
 
 
@@ -66,10 +73,11 @@ def main():
 
     failed = False
     for row in new_rows:
-        key = (row.get("backend"), row.get("studies"))
+        key = config_key(row)
+        label = "{}/{} studies/{} tasks/{} host threads".format(*key)
         committed = baseline.get(key)
         if committed is None:
-            print(f"  {key[0]}/{key[1]}: no committed baseline, accepting "
+            print(f"  {label}: no committed baseline, accepting "
                   f"{row['tasks_per_second']:.1f} tasks/s")
             continue
         old = float(committed["tasks_per_second"])
@@ -79,7 +87,7 @@ def main():
         if old > 0 and new < old * (1.0 - args.max_drop):
             verdict = f"REGRESSION (>{args.max_drop:.0%} drop)"
             failed = True
-        print(f"  {key[0]}/{key[1]}: {old:.1f} -> {new:.1f} tasks/s "
+        print(f"  {label}: {old:.1f} -> {new:.1f} tasks/s "
               f"({change:+.1%}) {verdict}")
 
     if failed:

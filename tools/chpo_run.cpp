@@ -336,7 +336,7 @@ int main(int argc, char** argv) {
       .add_option("graph", "write Graphviz DOT of the task graph here", "")
       .add_option("trace", "write Paraver trace basename here", "")
       .add_option("csv", "write per-epoch history CSV here", "")
-      .add_option("checkpoint", "persist/replay completed trials via this JSON file", "")
+      .add_option("checkpoint", "append finished trials to this record log and replay them on restart", "")
       .add_option("cv-folds", "k-fold cross-validation per trial (1 = plain split)", "1")
       .add_option("cache-dir", "persistent result-cache directory (with --reuse)", "")
       .add_option("cache-mb", "in-memory cache budget in MiB (disk gets 4x)", "256")
