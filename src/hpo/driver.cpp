@@ -102,12 +102,10 @@ HpoDriver::HpoDriver(rt::StudySession session, const ml::Dataset& dataset,
 
 HpoOutcome HpoDriver::run(SearchAlgorithm& algorithm) {
   // Blocking convenience: drive a private StudyRun pump to exhaustion.
-  // Multi-study coordination lives in service::StudyManager, which drives
-  // several pumps through one wait_any instead.
+  // Multi-study coordination lives in service::StudyManager, which routes
+  // the same tracked-completion queue to several pumps instead.
   StudyRun run(session_, dataset_, options_, algorithm);
-  run.start();
-  while (run.active() && !run.inflight().empty())
-    run.on_trial_complete(session_.wait_any(run.inflight()));
+  run_to_exhaustion(session_, run);
   return run.finish();
 }
 

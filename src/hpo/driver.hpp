@@ -6,11 +6,12 @@
 // trials in flight: batch algorithms (grid/random) have every trial
 // submitted up front — embarrassingly parallel, exactly the paper's loop —
 // while sequential algorithms (GP-EI, TPE) keep `parallel_suggestions`
-// trials outstanding. Results are consumed with wait_any in *completion*
-// order, so a fast trial that was submitted late is observed the moment it
-// finishes (no head-of-line blocking) and its score reaches the algorithm
-// immediately, which then suggests the next config while the rest of the
-// cluster stays busy.
+// trials outstanding. Each trial is tracked, and results are consumed from
+// the runtime's tracked-completion queue in *completion* order, so a fast
+// trial that was submitted late is observed the moment it finishes (no
+// head-of-line blocking) and its score reaches the algorithm immediately,
+// which then suggests the next config while the rest of the cluster stays
+// busy.
 //
 // Supports the paper's two flavours of early stopping:
 //  * per-trial: TrainConfig target_accuracy/patience inside the task body;

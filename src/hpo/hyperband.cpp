@@ -10,9 +10,7 @@ HalvingOutcome successive_halving(rt::StudySession session, const ml::Dataset& d
   // Blocking convenience over the HalvingRun pump (see study_run.hpp);
   // service::StudyManager drives the same pump cooperatively instead.
   HalvingRun run(session, dataset, space, options, std::move(cache));
-  run.start();
-  while (run.active() && !run.inflight().empty())
-    run.on_trial_complete(session.wait_any(run.inflight()));
+  run_to_exhaustion(session, run);
   run.finish();
   return run.outcome();
 }
@@ -20,9 +18,7 @@ HalvingOutcome successive_halving(rt::StudySession session, const ml::Dataset& d
 HyperbandOutcome hyperband(rt::StudySession session, const ml::Dataset& dataset,
                            const SearchSpace& space, const HyperbandOptions& options) {
   HyperbandRun run(session, dataset, space, options);
-  run.start();
-  while (run.active() && !run.inflight().empty())
-    run.on_trial_complete(session.wait_any(run.inflight()));
+  run_to_exhaustion(session, run);
   run.finish();
   return run.outcome();
 }

@@ -46,10 +46,12 @@ rt::TaskDef make_plot_task() {
   return def;
 }
 
-/// Trials were consumed in completion order; report them in submission
-/// order so callers and reports stay deterministic.
-void finalise_outcome(HpoOutcome& outcome, double t0, double now) {
-  outcome.elapsed_seconds = now - t0;
+/// Every pump's outcome ends here. Trials were consumed in completion
+/// order; report them in index order so callers and reports stay
+/// deterministic, and point best_index at the first successful trial with
+/// the highest final validation accuracy.
+void finalise_outcome(HpoOutcome& outcome, double elapsed_seconds) {
+  outcome.elapsed_seconds = elapsed_seconds;
   std::sort(outcome.trials.begin(), outcome.trials.end(),
             [](const Trial& a, const Trial& b) { return a.index < b.index; });
   double best = -1.0;
@@ -63,12 +65,24 @@ void finalise_outcome(HpoOutcome& outcome, double t0, double now) {
   }
 }
 
+/// Flatten rungs into the manager's uniform HpoOutcome view: trials in
+/// rung order, renumbered from the outcome's current size.
+void append_rungs(HpoOutcome& flat, const std::vector<RungResult>& rungs) {
+  for (const RungResult& rung : rungs)
+    for (const Trial& t : rung.trials) {
+      Trial copy = t;
+      copy.index = static_cast<int>(flat.trials.size());
+      flat.trials.push_back(std::move(copy));
+    }
+}
+
 }  // namespace
 
-bool TrialPump::owns(const rt::Future& finished) const {
-  for (const rt::Future& f : inflight())
-    if (f.producer == finished.producer) return true;
-  return false;
+void run_to_exhaustion(rt::StudySession session, TrialPump& pump) {
+  pump.start();
+  while (pump.active() && pump.in_flight() > 0)
+    if (!pump.on_trial_complete(session.next_completion()))
+      throw std::logic_error("run_to_exhaustion: a tracked completion of another pump");
 }
 
 // ---------------------------------------------------------------------------
@@ -105,12 +119,6 @@ bool StudyRun::replay_from_checkpoint(const Config& config) {
   return true;
 }
 
-void StudyRun::rebuild_futures() {
-  inflight_futures_.clear();
-  inflight_futures_.reserve(inflight_.size());
-  for (const InFlight& f : inflight_) inflight_futures_.push_back(f.future);
-}
-
 void StudyRun::start() {
   t0_ = session_.now();
   started_ = true;
@@ -135,7 +143,6 @@ void StudyRun::start() {
     start_batch_reuse();
   else
     top_up();
-  rebuild_futures();
   log_info("hpo", "{} [study {}]: {} trials in flight, window {} ({} replayed from checkpoint)",
            algorithm_.name(), session_.id(), inflight_.size(),
            window_ == std::numeric_limits<std::size_t>::max() ? std::string("all")
@@ -171,6 +178,7 @@ void StudyRun::top_up() {
       const rt::TaskDef def = make_experiment_task(dataset_, *config, options_, f.index);
       f.future = session_.submit(def);
     }
+    session_.track(f.future);
     if (options_.visualise)
       f.vis =
           session_.submit(make_visualisation_task(*config), {{f.future.data, rt::Direction::In}});
@@ -209,6 +217,7 @@ void StudyRun::start_batch_reuse() {
     f.index = s.index;
     f.config = request_configs[i];
     f.future = s.future;
+    session_.track(f.future);
     if (options_.visualise)
       f.vis =
           session_.submit(make_visualisation_task(f.config), {{f.future.data, rt::Direction::In}});
@@ -221,12 +230,11 @@ bool StudyRun::active() const {
   return !inflight_.empty() || !exhausted_;
 }
 
-void StudyRun::on_trial_complete(const rt::Future& finished) {
+bool StudyRun::on_trial_complete(const rt::Future& finished) {
   const auto it =
       std::find_if(inflight_.begin(), inflight_.end(),
                    [&](const InFlight& f) { return f.future.producer == finished.producer; });
-  if (it == inflight_.end())
-    throw std::invalid_argument("StudyRun: completion does not belong to this study");
+  if (it == inflight_.end()) return false;
 
   Trial trial;
   trial.index = it->index;
@@ -244,29 +252,27 @@ void StudyRun::on_trial_complete(const rt::Future& finished) {
   }
   record(std::move(trial), /*from_checkpoint=*/false);
   if (!stopped_) top_up();
-  rebuild_futures();
+  return true;
 }
 
 void StudyRun::cancel_outstanding() {
   outcome_.stopped_early = true;
   // As-completed early stop: cancel what is still outstanding instead of
-  // draining it in the runtime's destructor. Visualisation tasks are
-  // dependents of their experiments, so they are cancelled transitively.
+  // draining it in the runtime's destructor. Cancelling also untracks, so
+  // a trial that finished but was not consumed yet is never delivered.
+  // Visualisation tasks are dependents of their experiments, so they are
+  // cancelled transitively.
   for (const InFlight& f : inflight_) session_.cancel(f.future);
   // Reuse mode: also cancel the underlying stage chains (finalize tasks
   // are their dependents, so whole trees unwind together).
   if (executor_)
     for (const rt::Future& stage : executor_->stage_futures()) session_.cancel(stage);
   inflight_.clear();
-  rebuild_futures();
 }
 
 void StudyRun::set_refill_paused(bool paused) {
   refill_paused_ = paused;
-  if (!paused && started_ && !stopped_) {
-    top_up();
-    rebuild_futures();
-  }
+  if (!paused && started_ && !stopped_) top_up();
 }
 
 void StudyRun::abandon() {
@@ -290,7 +296,7 @@ HpoOutcome StudyRun::finish() {
     }
   }
   if (executor_) outcome_.reuse = executor_->report();
-  finalise_outcome(outcome_, t0_, session_.now());
+  finalise_outcome(outcome_, session_.now() - t0_);
   return outcome_;
 }
 
@@ -331,12 +337,6 @@ void HalvingRun::start() {
   epochs_ = options_.initial_epochs;
   rung_index_ = 0;
   submit_rung();
-}
-
-void HalvingRun::rebuild_futures() {
-  inflight_futures_.clear();
-  inflight_futures_.reserve(outstanding_.size());
-  for (const auto& [_, f] : outstanding_) inflight_futures_.push_back(f);
 }
 
 void HalvingRun::submit_rung() {
@@ -381,7 +381,7 @@ void HalvingRun::submit_rung() {
     for (std::size_t i = 0; i < submitted_.size(); ++i)
       outstanding_.emplace_back(i, submitted_[i].second);
   }
-  rebuild_futures();
+  for (const auto& [_, f] : outstanding_) session_.track(f);
   // A fully replayed rung (every trial served from the cache) closes
   // immediately — and may cascade through further rungs.
   if (outstanding_.empty()) close_rung();
@@ -389,12 +389,11 @@ void HalvingRun::submit_rung() {
 
 bool HalvingRun::active() const { return !stopped_ && !done_ && epochs_ > 0; }
 
-void HalvingRun::on_trial_complete(const rt::Future& finished) {
+bool HalvingRun::on_trial_complete(const rt::Future& finished) {
   const auto it = std::find_if(outstanding_.begin(), outstanding_.end(), [&](const auto& entry) {
     return entry.second.producer == finished.producer;
   });
-  if (it == outstanding_.end())
-    throw std::invalid_argument("HalvingRun: completion does not belong to this study");
+  if (it == outstanding_.end()) return false;
   Trial trial;
   trial.index = static_cast<int>(it->first);
   trial.config = submitted_[it->first].first;
@@ -409,7 +408,7 @@ void HalvingRun::on_trial_complete(const rt::Future& finished) {
   outstanding_.erase(it);
   rung_.trials.push_back(std::move(trial));
   if (outstanding_.empty()) close_rung();
-  rebuild_futures();
+  return true;
 }
 
 void HalvingRun::close_rung() {
@@ -479,35 +478,16 @@ void HalvingRun::abandon() {
   if (executor_)
     for (const rt::Future& stage : executor_->stage_futures()) session_.cancel(stage);
   outstanding_.clear();
-  rebuild_futures();
 }
 
 HpoOutcome HalvingRun::finish() {
   if (executor_) outcome_.reuse = executor_->report();
   outcome_.elapsed_seconds = session_.now() - t0_;
-
-  // Flatten rungs into the manager's uniform HpoOutcome view: trials in
-  // rung order with fresh sequential indices.
   HpoOutcome flat;
   flat.stopped_early = stopped_;
-  flat.elapsed_seconds = outcome_.elapsed_seconds;
   flat.reuse = outcome_.reuse;
-  int index = 0;
-  for (const RungResult& rung : outcome_.rungs)
-    for (const Trial& t : rung.trials) {
-      Trial copy = t;
-      copy.index = index++;
-      flat.trials.push_back(std::move(copy));
-    }
-  double best = -1.0;
-  for (std::size_t i = 0; i < flat.trials.size(); ++i) {
-    const Trial& t = flat.trials[i];
-    if (t.failed) continue;
-    if (t.result.final_val_accuracy > best) {
-      best = t.result.final_val_accuracy;
-      flat.best_index = static_cast<int>(i);
-    }
-  }
+  append_rungs(flat, outcome_.rungs);
+  finalise_outcome(flat, outcome_.elapsed_seconds);
   return flat;
 }
 
@@ -590,17 +570,13 @@ bool HyperbandRun::active() const {
   return bracket_ != nullptr || s_ >= 0;
 }
 
-const std::vector<rt::Future>& HyperbandRun::inflight() const {
-  return bracket_ ? bracket_->inflight() : empty_;
-}
-
-void HyperbandRun::on_trial_complete(const rt::Future& finished) {
-  if (!bracket_) throw std::invalid_argument("HyperbandRun: no bracket in flight");
-  bracket_->on_trial_complete(finished);
+bool HyperbandRun::on_trial_complete(const rt::Future& finished) {
+  if (!bracket_ || !bracket_->on_trial_complete(finished)) return false;
   if (!bracket_->active()) {
     harvest_bracket();
     if (!refill_paused_) start_bracket();
   }
+  return true;
 }
 
 std::size_t HyperbandRun::trials_done() const {
@@ -630,25 +606,9 @@ HpoOutcome HyperbandRun::finish() {
   outcome_.elapsed_seconds = session_.now() - t0_;
   HpoOutcome flat;
   flat.stopped_early = stopped_;
-  flat.elapsed_seconds = outcome_.elapsed_seconds;
   flat.reuse = outcome_.reuse;
-  int index = 0;
-  for (const HalvingOutcome& bracket : outcome_.brackets)
-    for (const RungResult& rung : bracket.rungs)
-      for (const Trial& t : rung.trials) {
-        Trial copy = t;
-        copy.index = index++;
-        flat.trials.push_back(std::move(copy));
-      }
-  double best = -1.0;
-  for (std::size_t i = 0; i < flat.trials.size(); ++i) {
-    const Trial& t = flat.trials[i];
-    if (t.failed) continue;
-    if (t.result.final_val_accuracy > best) {
-      best = t.result.final_val_accuracy;
-      flat.best_index = static_cast<int>(i);
-    }
-  }
+  for (const HalvingOutcome& bracket : outcome_.brackets) append_rungs(flat, bracket.rungs);
+  finalise_outcome(flat, outcome_.elapsed_seconds);
   return flat;
 }
 

@@ -7,14 +7,16 @@
 // threads. This file splits each driving loop into an explicit state
 // machine (a TrialPump): construction captures the plan, start() submits
 // the initial window, and on_trial_complete() consumes exactly one
-// finished trial and refills. A coordinator (service::StudyManager) can
-// then interleave any number of pumps over one engine with a single
-// wait_any across all their in-flight futures, routing each completion to
-// the pump whose study tag it carries.
+// finished trial and refills. Every trial a pump submits is tracked
+// (Runtime::track), so its completion lands in the runtime's one
+// tracked-completion queue. A coordinator (service::StudyManager) can then
+// interleave any number of pumps over one engine by popping that queue
+// (next_completion) and routing each completion to the pump whose study
+// tag it carries.
 //
 // The classic blocking entry points still exist — HpoDriver::run and the
-// hyperband free functions are now thin wrappers that drive their own pump
-// to exhaustion — so single-study code keeps its one-call shape.
+// hyperband free functions are thin wrappers over run_to_exhaustion() —
+// so single-study code keeps its one-call shape.
 #pragma once
 
 #include <memory>
@@ -31,8 +33,8 @@
 
 namespace chpo::hpo {
 
-/// The driving surface a study coordinator needs: submit work, expose
-/// in-flight futures, consume completions one at a time, tear down.
+/// The driving surface a study coordinator needs: submit and track work,
+/// count what is in flight, consume completions one at a time, tear down.
 class TrialPump {
  public:
   virtual ~TrialPump() = default;
@@ -40,23 +42,21 @@ class TrialPump {
   /// Submit the initial trial window (replaying any checkpoint first).
   virtual void start() = 0;
 
-  /// True while the pump still has in-flight or submittable work. Drive
-  /// on_trial_complete() with a member of inflight() until this is false,
-  /// then call finish().
+  /// True while the pump still has in-flight or submittable work. Feed
+  /// on_trial_complete() tracked completions until this is false, then
+  /// call finish().
   virtual bool active() const = 0;
 
-  /// Futures of every trial currently in flight. Empty while refills are
-  /// paused and the window has drained — skip the pump until resumed.
-  virtual const std::vector<rt::Future>& inflight() const = 0;
+  /// Trials submitted and tracked but not yet consumed or cancelled. 0
+  /// while refills are paused and the window has drained — skip the pump
+  /// until resumed.
+  virtual std::size_t in_flight() const = 0;
 
-  /// True iff `finished` is one of this pump's in-flight trials — the
-  /// demultiplex predicate a coordinator routes wait_any winners with.
-  bool owns(const rt::Future& finished) const;
-
-  /// Consume one finished trial (must satisfy owns()): record it, feed the
-  /// algorithm, checkpoint, refill the window. Unknown futures throw —
-  /// a completion leaking in from another study is a routing bug.
-  virtual void on_trial_complete(const rt::Future& finished) = 0;
+  /// Consume one finished trial: record it, feed the algorithm,
+  /// checkpoint, refill the window. Returns false, changing nothing, when
+  /// `finished` is not one of this pump's in-flight trials — a completion
+  /// leaking in from another study, which the caller counts.
+  virtual bool on_trial_complete(const rt::Future& finished) = 0;
 
   /// Hold / release window refills (the driver half of a study pause; the
   /// engine half holds the study's ready queue). In-flight trials keep
@@ -82,6 +82,13 @@ class TrialPump {
   virtual HpoOutcome finish() = 0;
 };
 
+/// Start `pump` and feed it the runtime's tracked completions until it has
+/// nothing left in flight — the blocking loop behind HpoDriver::run,
+/// successive_halving and hyperband. The caller then calls finish().
+/// Throws std::logic_error if a completion belongs to another pump (one
+/// runtime, two concurrent consumers of its queue).
+void run_to_exhaustion(rt::StudySession session, TrialPump& pump);
+
 /// State machine behind HpoDriver::run: one SearchAlgorithm driven through
 /// a window of experiment tasks on one StudySession.
 class StudyRun : public TrialPump {
@@ -93,8 +100,8 @@ class StudyRun : public TrialPump {
 
   void start() override;
   bool active() const override;
-  const std::vector<rt::Future>& inflight() const override { return inflight_futures_; }
-  void on_trial_complete(const rt::Future& finished) override;
+  std::size_t in_flight() const override { return inflight_.size(); }
+  bool on_trial_complete(const rt::Future& finished) override;
   std::size_t trials_done() const override { return outcome_.trials.size(); }
   const Trial* last_trial() const override {
     return outcome_.trials.empty() ? nullptr : &outcome_.trials.back();
@@ -127,7 +134,6 @@ class StudyRun : public TrialPump {
   /// Replay `config` from the loaded checkpoint if it completed there.
   bool replay_from_checkpoint(const Config& config);
   void cancel_outstanding();
-  void rebuild_futures();
 
   rt::StudySession session_;
   const ml::Dataset& dataset_;
@@ -139,7 +145,6 @@ class StudyRun : public TrialPump {
   std::optional<reuse::StageExecutor> executor_;
   std::size_t window_ = 1;
   std::vector<InFlight> inflight_;
-  std::vector<rt::Future> inflight_futures_;
   std::vector<rt::Future> vis_done_;
   int next_index_ = 0;
   bool exhausted_ = false;
@@ -158,8 +163,8 @@ class HalvingRun : public TrialPump {
 
   void start() override;
   bool active() const override;
-  const std::vector<rt::Future>& inflight() const override { return inflight_futures_; }
-  void on_trial_complete(const rt::Future& finished) override;
+  std::size_t in_flight() const override { return outstanding_.size(); }
+  bool on_trial_complete(const rt::Future& finished) override;
   std::size_t trials_done() const override;
   const Trial* last_trial() const override;
   void set_refill_paused(bool paused) override;
@@ -177,7 +182,6 @@ class HalvingRun : public TrialPump {
   void submit_rung();
   /// Rank the finished rung, promote the top 1/eta, advance the budget.
   void close_rung();
-  void rebuild_futures();
 
   rt::StudySession session_;
   const ml::Dataset& dataset_;
@@ -194,7 +198,6 @@ class HalvingRun : public TrialPump {
   RungResult rung_;
   std::vector<std::pair<Config, rt::Future>> submitted_;
   std::vector<std::pair<std::size_t, rt::Future>> outstanding_;
-  std::vector<rt::Future> inflight_futures_;
   bool done_ = false;
   bool stopped_ = false;
   bool refill_paused_ = false;
@@ -211,8 +214,8 @@ class HyperbandRun : public TrialPump {
 
   void start() override;
   bool active() const override;
-  const std::vector<rt::Future>& inflight() const override;
-  void on_trial_complete(const rt::Future& finished) override;
+  std::size_t in_flight() const override { return bracket_ ? bracket_->in_flight() : 0; }
+  bool on_trial_complete(const rt::Future& finished) override;
   std::size_t trials_done() const override;
   const Trial* last_trial() const override;
   void set_refill_paused(bool paused) override;
@@ -235,7 +238,6 @@ class HyperbandRun : public TrialPump {
   int s_max_ = 0;
   int s_ = 0;
   std::unique_ptr<HalvingRun> bracket_;
-  std::vector<rt::Future> empty_;
   bool stopped_ = false;
   bool refill_paused_ = false;
 };

@@ -30,7 +30,7 @@ Runtime::Runtime(RuntimeOptions options)
     backend_ = std::make_unique<SimBackend>(engine_, options_.sim);
   else
     backend_ = std::make_unique<ThreadBackend>(engine_);
-  studies_[kMainStudy] = StudyInfo{.name = "main"};
+  studies_[kMainStudy] = "main";
   log_info("runtime", "started: {} nodes, scheduler={}, backend={}", options_.cluster.nodes.size(),
            options_.scheduler, options_.simulate ? "sim" : "threads");
 }
@@ -41,7 +41,7 @@ Runtime::~Runtime() {
     // forever: shutdown drains everything, so release every study first.
     {
       EngineContextScope ctx(g_engine_ctx);
-      for (const auto& [id, info] : studies_) engine_.set_study_paused(id, false);
+      for (const auto& [id, name] : studies_) engine_.set_study_paused(id, false);
     }
     barrier();
   } catch (const std::exception& e) {
@@ -101,7 +101,7 @@ std::vector<Future> Runtime::submit_study_batch(StudyId study, std::vector<Batch
 StudySession Runtime::open_study(StudyOptions study) {
   const StudyId id = next_study_++;
   if (study.name.empty()) study.name = "study-" + std::to_string(id);
-  studies_[id] = StudyInfo{.name = study.name};
+  studies_[id] = study.name;
   EngineContextScope ctx(g_engine_ctx);
   engine_.set_study_policy(id, StudyPolicy{.weight = study.weight,
                                            .max_running = study.max_running,
@@ -118,32 +118,15 @@ StudySession Runtime::open_study(StudyOptions study) {
 
 StudySession Runtime::main_study() { return StudySession(this, kMainStudy); }
 
-const std::string& Runtime::study_name(StudyId study) const { return study_info(study).name; }
-
-Runtime::StudyInfo& Runtime::study_info(StudyId study) {
+const std::string& Runtime::study_name(StudyId study) const {
   const auto it = studies_.find(study);
   if (it == studies_.end())
     throw std::invalid_argument("Runtime: unknown study " + std::to_string(study));
   return it->second;
-}
-
-const Runtime::StudyInfo& Runtime::study_info(StudyId study) const {
-  const auto it = studies_.find(study);
-  if (it == studies_.end())
-    throw std::invalid_argument("Runtime: unknown study " + std::to_string(study));
-  return it->second;
-}
-
-std::vector<TaskId> Runtime::drain_study_completions(StudyId study) {
-  StudyInfo& info = study_info(study);
-  info.completions_enabled = true;  // opt-in, like the global queue
-  std::vector<TaskId> drained(info.completions.begin(), info.completions.end());
-  info.completions.clear();
-  return drained;
 }
 
 void Runtime::set_study_paused(StudyId study, bool paused) {
-  study_info(study);  // validate
+  study_name(study);  // validate
   EngineContextScope ctx(g_engine_ctx);
   engine_.set_study_paused(study, paused);
   sink_.record(trace::Event{
@@ -157,7 +140,7 @@ void Runtime::set_study_paused(StudyId study, bool paused) {
 bool Runtime::is_study_paused(StudyId study) const { return engine_.study_paused(study); }
 
 std::size_t Runtime::cancel_study_tasks(StudyId study) {
-  study_info(study);  // validate
+  study_name(study);  // validate
   EngineContextScope ctx(g_engine_ctx);
   const std::size_t cancelled = engine_.cancel_study(study, backend_->now());
   // Pending tasks (and their dependents) turned terminal inside
@@ -167,7 +150,7 @@ std::size_t Runtime::cancel_study_tasks(StudyId study) {
 }
 
 void Runtime::study_barrier(StudyId study) {
-  study_info(study);  // validate
+  study_name(study);  // validate
   EngineContextScope ctx(g_engine_ctx);
   if (engine_.study_quiescent(study)) return;
   backend_->drive([this, study] { return engine_.study_quiescent(study); });
@@ -175,12 +158,11 @@ void Runtime::study_barrier(StudyId study) {
 
 void Runtime::on_task_terminal(TaskId task, TaskState state) {
   if (completions_enabled_) completions_.push_back(task);
-  // Demultiplex to the owning study's queue: this is where the engine's
-  // terminal-notification funnel fans back out to sessions.
+  // Notifications fire in terminal_seq order. A task tracked after it
+  // turned terminal, but before its notification fired, is queued already.
+  if (tracked_.contains(task) && (tracked_done_.empty() || tracked_done_.back() != task))
+    tracked_done_.push_back(task);
   const StudyId study = graph_.task(task).study;
-  const auto study_it = studies_.find(study);
-  if (study_it != studies_.end() && study_it->second.completions_enabled)
-    study_it->second.completions.push_back(task);
   // A released study's last straggler landed: drop what the engine kept.
   // Runs inside flush_notifications, which holds the engine context behind
   // the listener's std::function boundary.
@@ -245,6 +227,37 @@ std::any Runtime::wait_on(const Future& future) {
   return graph_.registry().value(future.data, future.version);
 }
 
+void Runtime::track(const Future& future) {
+  if (future.producer == kNoTask) throw std::invalid_argument("track: empty future");
+  // Already terminal (e.g. doomed at submission): queue it at once;
+  // otherwise on_task_terminal queues it when it lands.
+  if (tracked_.insert(future.producer).second && graph_.task(future.producer).terminal_seq != 0)
+    tracked_done_.push_back(future.producer);
+}
+
+Future Runtime::next_completion(double deadline) {
+  if (tracked_.empty()) throw std::invalid_argument("next_completion: nothing tracked");
+  EngineContextScope ctx(g_engine_ctx);
+  if (tracked_done_.empty())
+    backend_->drive([this] { return !tracked_done_.empty(); }, deadline);
+  if (tracked_done_.empty()) return Future{};  // timed out
+  const TaskId task = tracked_done_.front();
+  tracked_done_.pop_front();
+  tracked_.erase(task);
+  return deliver(task);
+}
+
+Future Runtime::deliver(TaskId task) {
+  TaskRecord& record = graph_.task(task);
+  record.synced = true;
+  sink_.record(trace::Event{.kind = trace::EventKind::WaitAny,
+                            .task_id = task,
+                            .study = record.study,
+                            .t_start = backend_->now(),
+                            .t_end = backend_->now()});
+  return record.result;
+}
+
 Future Runtime::wait_any(std::span<const Future> futures) {
   return wait_first(futures, "wait_any", /*deadline=*/-1.0);
 }
@@ -286,12 +299,7 @@ Future Runtime::wait_first(std::span<const Future> futures, const char* caller, 
     winner = first_finished();
   }
   if (winner == nullptr) return Future{};  // timed out; nothing terminal
-  graph_.task(winner->producer).synced = true;
-  sink_.record(trace::Event{.kind = trace::EventKind::WaitAny,
-                            .task_id = winner->producer,
-                            .study = graph_.task(winner->producer).study,
-                            .t_start = backend_->now(),
-                            .t_end = backend_->now()});
+  deliver(winner->producer);
   return *winner;
 }
 
@@ -314,7 +322,7 @@ StudyProgress Runtime::study_progress(StudyId study) const {
 void Runtime::release_study(StudyId study) {
   if (study == kMainStudy)
     throw std::invalid_argument("Runtime: the main study cannot be released");
-  study_info(study);  // validate
+  study_name(study);  // validate
   EngineContextScope ctx(g_engine_ctx);
   studies_.erase(study);
   // Whatever the study still has outstanding must be able to drain (the
@@ -333,6 +341,9 @@ bool Runtime::wait_all_for(double seconds) {
 
 bool Runtime::cancel(const Future& future) {
   if (future.producer == kNoTask) throw std::invalid_argument("cancel: empty future");
+  // Untrack first: the cancel below may turn the task terminal, and a
+  // finished-but-undelivered one leaves the queue too.
+  if (tracked_.erase(future.producer) != 0) std::erase(tracked_done_, future.producer);
   EngineContextScope ctx(g_engine_ctx);
   const bool cancelled = engine_.cancel(future.producer, backend_->now());
   // A pending task (and its dependents) turned terminal inside cancel();

@@ -29,6 +29,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -264,7 +265,22 @@ class Runtime {
   /// marked abandon-on-finish — its resources come back when the attempt
   /// ends and its result is discarded. Dependents are cancelled either
   /// way. Returns false iff the task was already terminal (too late).
+  /// Either way a tracked task is untracked: next_completion() never
+  /// delivers a task its driver gave up on.
   bool cancel(const Future& future);
+
+  /// Hand `future`'s producer to the tracked-completion queue: when it
+  /// turns terminal it is appended, so next_completion() delivers tracked
+  /// tasks in terminal order across every study. A task already terminal
+  /// is appended at once. Study drivers track their trials, not helpers.
+  void track(const Future& future);
+
+  /// Pop the queue's front, driving the backend until it is non-empty or
+  /// `deadline` (backend clock; < 0 = none) passes. The task is marked
+  /// synced with a WaitAny event, like a wait_any winner; a timeout
+  /// returns an empty Future. Throws std::invalid_argument when nothing is
+  /// tracked.
+  Future next_completion(double deadline = -1.0);
 
   /// Tasks that reached a terminal state since the last drain, in
   /// completion order — the runtime-level completion queue both backends
@@ -318,15 +334,6 @@ class Runtime {
 
   void on_task_terminal(TaskId task, TaskState state);
 
-  /// Per-study bookkeeping on the Runtime side of the notification funnel.
-  struct StudyInfo {
-    std::string name;
-    /// Terminal tasks of this study not yet drained by its session.
-    /// Opt-in like the global queue (see completions_enabled_).
-    std::deque<TaskId> completions;
-    bool completions_enabled = false;
-  };
-
   /// Session plumbing (called by StudySession; study must be registered).
   Future submit_study(StudyId study, const TaskDef& def, const std::vector<Param>& params,
                       CompletionCallback on_complete);
@@ -334,7 +341,6 @@ class Runtime {
   /// registers its callback first, then admits the whole wave with a single
   /// Engine::on_submitted_batch + flush. See submit_batch() for semantics.
   std::vector<Future> submit_study_batch(StudyId study, std::vector<BatchItem> items);
-  std::vector<TaskId> drain_study_completions(StudyId study);
   void set_study_paused(StudyId study, bool paused);
   bool is_study_paused(StudyId study) const;
   /// Tear down one study's in-flight work (kill / early-stop). Returns the
@@ -343,13 +349,13 @@ class Runtime {
   /// Block until every task of `study` is terminal. Throws if the study is
   /// paused with held ready tasks and nothing else can make progress.
   void study_barrier(StudyId study);
-  StudyInfo& study_info(StudyId study);
-  const StudyInfo& study_info(StudyId study) const;
   /// Shared body of wait_any / wait_any_for: the first of `futures` to
   /// have turned terminal, driving the backend up to `deadline` (< 0 =
   /// none) when none has yet; an empty Future on timeout. `caller` names
   /// the public entry point in argument errors.
   Future wait_first(std::span<const Future> futures, const char* caller, double deadline);
+  /// Hand `task` to a waiter: mark it synced and record the WaitAny event.
+  Future deliver(TaskId task);
 
   RuntimeOptions options_;
   DataRegistry registry_;
@@ -365,9 +371,14 @@ class Runtime {
   /// don't accumulate one entry per task forever.
   std::deque<TaskId> completions_;
   bool completions_enabled_ = false;
+  /// Tracked tasks not yet delivered or cancelled, and the terminal ones
+  /// among them in arrival order: the queue next_completion() pops.
+  std::unordered_set<TaskId> tracked_;
+  std::deque<TaskId> tracked_done_;
   std::map<TaskId, CompletionCallback> callbacks_;
-  /// Open studies by id; kMainStudy ("main") is registered at construction.
-  std::map<StudyId, StudyInfo> studies_;
+  /// Names of the open studies by id; kMainStudy ("main") is registered at
+  /// construction.
+  std::map<StudyId, std::string> studies_;
   /// Released studies whose abandoned attempts are still running (see
   /// release_study); emptied as those attempts land.
   std::set<StudyId> releasing_;

@@ -3,10 +3,10 @@
 // The HPO layer never sees rt::Runtime& anymore (chpo_lint enforces it):
 // drivers receive this handle instead, so N concurrent studies can
 // multiplex one engine. Tasks submitted through a session carry the
-// session's StudyId; the terminal-notification funnel demultiplexes
-// completions back to the owning session's queue, and cancel_all() tears
-// down exactly this study's in-flight work — a neighbouring study never
-// observes another's early stop, kill, or fault.
+// session's StudyId, so a completion can be routed back to its study by
+// that tag, and cancel_all() tears down exactly this study's in-flight
+// work — a neighbouring study never observes another's early stop, kill,
+// or fault.
 //
 // The handle is a cheap copyable (Runtime*, StudyId) pair. It does not own
 // the Runtime: whoever built the Runtime (an application, optimize(), or
@@ -90,16 +90,21 @@ class StudySession {
   /// Per-state task counts of this study (service status snapshots).
   StudyProgress progress() const { return runtime_->study_progress(id_); }
 
+  /// Cancel `future`'s producer and untrack it; see Runtime::cancel.
   bool cancel(const Future& future) { return runtime_->cancel(future); }
+
+  /// Hand a trial's future to the runtime's tracked-completion queue; see
+  /// Runtime::track.
+  void track(const Future& future) { runtime_->track(future); }
+  /// Next tracked completion of the whole runtime, whichever study tracked
+  /// it (route by the task's study tag); empty Future once `deadline`
+  /// passes. See Runtime::next_completion.
+  Future next_completion(double deadline = -1.0) { return runtime_->next_completion(deadline); }
 
   /// Cancel every non-terminal task of this study (kill / early stop).
   /// Returns how many tasks were newly cancelled; other studies' work is
   /// untouched by construction (the engine filters on the study tag).
   std::size_t cancel_all() { return runtime_->cancel_study_tasks(id_); }
-
-  /// Terminal tasks of this study since the last drain, in completion
-  /// order. Opt-in on first call, like Runtime::drain_completions.
-  std::vector<TaskId> drain_completions() { return runtime_->drain_study_completions(id_); }
 
   /// Hold / release this study's ready queue at the engine's fair-share
   /// seam. Pausing never aborts in-flight attempts: they finish and

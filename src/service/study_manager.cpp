@@ -95,7 +95,7 @@ void StudyManager::start(Record& record) {
   }
   record.pump->start();
   log_info("service", "study {} '{}' admitted ({}, {} in flight{})", record.session.id(),
-           record.session.name(), spec.algorithm, record.pump->inflight().size(),
+           record.session.name(), spec.algorithm, record.pump->in_flight(),
            record.start_paused ? ", paused" : "");
   emit(StudyEvent::Kind::Admitted, record.session.id(), record);
   if (record.state == StudyState::Running && !record.pump->active())
@@ -131,25 +131,21 @@ void StudyManager::admit() {
   }
 }
 
-std::vector<rt::Future> StudyManager::collect_inflight() const {
-  // Every in-flight trial of every active study. Paused studies still get
-  // their in-flight completions consumed — an attempt that was already
-  // running when the pause landed finishes and commits (pause holds the
-  // *ready* queue, it never aborts work).
-  std::vector<rt::Future> futures;
-  for (const rt::StudyId id : live_) {
-    const Record& record = records_.at(id);
-    if (record.state != StudyState::Queued)
-      for (const rt::Future& f : record.pump->inflight()) futures.push_back(f);
-  }
-  return futures;
+std::size_t StudyManager::in_flight() const {
+  // Paused studies count too: an attempt that was already running when the
+  // pause landed finishes and commits (pause holds the *ready* queue, it
+  // never aborts work), and its completion is consumed while paused.
+  std::size_t n = 0;
+  for (const rt::StudyId id : live_)
+    if (const Record& record = records_.at(id); record.pump) n += record.pump->in_flight();
+  return n;
 }
 
 void StudyManager::route(const rt::Future& finished) {
   // Route by the study tag the task carried through the engine.
   const rt::StudyId owner = runtime_.graph().task(finished.producer).study;
   const auto it = records_.find(owner);
-  if (it == records_.end() || !it->second.pump || !it->second.pump->owns(finished)) {
+  if (it == records_.end() || !it->second.pump || !it->second.pump->on_trial_complete(finished)) {
     // A completion surfaced for a study that does not recognise it: a
     // cross-study leak. Count it (CI asserts zero) and drop it.
     ++leaked_;
@@ -157,7 +153,6 @@ void StudyManager::route(const rt::Future& finished) {
     return;
   }
   Record& record = it->second;
-  record.pump->on_trial_complete(finished);
   ++routed_;
   emit(StudyEvent::Kind::TrialComplete, owner, record, record.pump->last_trial());
   if (record.state == StudyState::Running && !record.pump->active()) finish(record);
@@ -166,8 +161,7 @@ void StudyManager::route(const rt::Future& finished) {
 bool StudyManager::step() {
   admit();
 
-  const std::vector<rt::Future> futures = collect_inflight();
-  if (futures.empty()) {
+  if (in_flight() == 0) {
     // Nothing in flight anywhere. Running studies with no futures are
     // drained state machines that never went inactive — a pump bug.
     finish_drained();
@@ -177,21 +171,20 @@ bool StudyManager::step() {
     return queued;  // paused-only fleets park here; resume() + step() continues
   }
 
-  route(runtime_.wait_any(futures));
+  route(runtime_.next_completion());
   return true;
 }
 
 StudyManager::StepOutcome StudyManager::step_for(double seconds) {
   admit();
 
-  const std::vector<rt::Future> futures = collect_inflight();
-  if (futures.empty()) {
+  if (in_flight() == 0) {
     if (finish_drained()) return StepOutcome::Progress;
     // Anything still live is parked: a paused fleet, or admission gated.
     return live_.empty() ? StepOutcome::Drained : StepOutcome::Idle;
   }
 
-  const rt::Future finished = runtime_.wait_any_for(futures, seconds);
+  const rt::Future finished = runtime_.next_completion(runtime_.now() + seconds);
   if (finished.producer == rt::kNoTask) return StepOutcome::Idle;  // bound expired
   route(finished);
   return StepOutcome::Progress;
@@ -216,7 +209,7 @@ bool StudyManager::finish_drained() {
 bool StudyManager::busy() const {
   for (const rt::StudyId id : live_) {
     const Record& record = records_.at(id);
-    if (record.state != StudyState::Paused || !record.pump->inflight().empty()) return true;
+    if (record.state != StudyState::Paused || record.pump->in_flight() > 0) return true;
   }
   return false;
 }
@@ -350,7 +343,7 @@ ManagerStats StudyManager::stats() const {
     }
     if (record.pump) {
       stats.trials_done += record.pump->trials_done();
-      stats.inflight += record.pump->inflight().size();
+      stats.inflight += record.pump->in_flight();
     }
   }
   stats.completions_routed = routed_;

@@ -4,8 +4,9 @@
 // The engine is single-thread confined, so concurrency between studies is
 // cooperative: the manager owns one Runtime, opens one StudySession per
 // admitted study, builds the matching TrialPump (StudyRun / HalvingRun /
-// HyperbandRun), and multiplexes all pumps from its own step() loop — one
-// wait_any over every active study's in-flight futures, each winner routed
+// HyperbandRun), and multiplexes all pumps from its own step() loop. Every
+// pump tracks the trials it submits, so each step pops the runtime's one
+// tracked-completion queue (Runtime::next_completion) and routes the task
 // to the pump whose study tag it carries. The study tag travels with the
 // task through the engine, so routing is a graph lookup, not a guess; a
 // completion whose owning pump does not recognise it is counted in
@@ -104,7 +105,7 @@ struct ManagerStats {
   std::size_t killed = 0;
   std::size_t total_studies = 0;
   std::size_t trials_done = 0;  ///< across all studies, live + final
-  std::size_t inflight = 0;     ///< trial futures currently in flight
+  std::size_t inflight = 0;     ///< trials currently in flight
   std::uint64_t completions_routed = 0;
   std::size_t leaked_completions = 0;
 };
@@ -256,9 +257,10 @@ class StudyManager {
   /// The full record of `id`; nullptr once retired; throws if unknown.
   Record* record_for(rt::StudyId id);
   std::size_t active_count() const;
-  /// Route one wait_any winner to its owning pump (or count a leak).
+  /// Route one tracked completion to its owning pump (or count a leak).
   void route(const rt::Future& finished);
-  std::vector<rt::Future> collect_inflight() const;
+  /// Trials in flight across every started live study.
+  std::size_t in_flight() const;
   void emit(StudyEvent::Kind kind, rt::StudyId id, const Record& record,
             const hpo::Trial* trial = nullptr);
 

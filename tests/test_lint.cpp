@@ -446,6 +446,19 @@ TEST(RegistryLockBlockingCall, FlagsJournalSyncAndFsyncUnderLock) {
   EXPECT_EQ(hits[1].line, 4);
 }
 
+TEST(RegistryLockBlockingCall, FlagsNextCompletionUnderLock) {
+  // next_completion drives the engine until a tracked task lands — as
+  // blocking as wait_any, so it may not run under a queue lock either.
+  const auto findings = lint_files({{"src/daemon/server.cpp",
+                                     "void Server::drain() {\n"
+                                     "  MutexLock lock(queue_mutex_);\n"
+                                     "  session_.next_completion(deadline);\n"
+                                     "}\n"}});
+  const auto hits = of_rule(findings, "registry-lock-blocking-call");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].line, 3);
+}
+
 TEST(RegistryLockBlockingCall, JournalImplementationIsExempt) {
   // The journal's lock class IS the append/fsync barrier: holding its
   // mutex across fsync is the documented design, not a violation.

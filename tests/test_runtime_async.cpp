@@ -1,5 +1,6 @@
-// Completion-driven runtime API: wait_any, wait_all_for, cancel, and
-// per-submit completion callbacks, on both backends.
+// Completion-driven runtime API: wait_any, wait_all_for, cancel,
+// per-submit completion callbacks and the tracked-completion queue, on
+// both backends.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -392,6 +393,121 @@ TEST(Completions, DrainReturnsTerminalTasksInCompletionOrder) {
   const std::vector<TaskId> expected{b.producer, a.producer};
   EXPECT_EQ(drained, expected);
   EXPECT_TRUE(runtime.drain_completions().empty());  // consumed
+}
+
+
+// ---------------------------------------------------------------------------
+// Tracked-completion queue (track / next_completion), both backends
+// ---------------------------------------------------------------------------
+
+Runtime backend(bool simulate, unsigned cpus) {
+  return Runtime(simulate ? sim_cluster(1, cpus) : thread_cluster(cpus));
+}
+
+/// A task lasting `units`: virtual seconds of cost on the simulator and
+/// units x 40 ms of wall time on threads, so both backends finish a set of
+/// such tasks in the same order.
+TaskDef lasting(std::string name, int units) {
+  TaskDef def = timed(std::move(name), units);
+  def.body = [units](TaskContext&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(40 * units));
+    return std::any(1);
+  };
+  return def;
+}
+
+std::size_t wait_any_events(const Runtime& runtime) {
+  std::size_t n = 0;
+  for (const auto& e : runtime.trace().events())
+    if (e.kind == trace::EventKind::WaitAny) ++n;
+  return n;
+}
+
+TEST(Completions, TrackedQueueDeliversTwoStudiesInTerminalOrder) {
+  for (const bool simulate : {false, true}) {
+    SCOPED_TRACE(simulate ? "sim" : "threads");
+    Runtime runtime = backend(simulate, 4);
+    StudySession a = runtime.open_study({.name = "a"});
+    StudySession b = runtime.open_study({.name = "b"});
+    const Future a_slow = a.submit(lasting("a_slow", 5));
+    const Future b_mid = b.submit(lasting("b_mid", 3));
+    const Future a_fast = a.submit(lasting("a_fast", 1));
+    a.submit(lasting("helper", 2));  // untracked: never delivered
+    for (const Future& f : {a_slow, b_mid, a_fast}) runtime.track(f);
+
+    // Either session pops the one runtime-wide queue.
+    std::vector<TaskId> order;
+    for (int i = 0; i < 3; ++i) order.push_back(b.next_completion().producer);
+    EXPECT_EQ(order, (std::vector<TaskId>{a_fast.producer, b_mid.producer, a_slow.producer}));
+    for (const TaskId t : order) EXPECT_TRUE(runtime.graph().task(t).synced);
+    EXPECT_EQ(wait_any_events(runtime), 3u);
+    EXPECT_THROW(runtime.next_completion(), std::invalid_argument);  // nothing tracked
+  }
+}
+
+TEST(Completions, TrackedQueueDeliversATaskTrackedAfterItTurnedTerminal) {
+  for (const bool simulate : {false, true}) {
+    SCOPED_TRACE(simulate ? "sim" : "threads");
+    Runtime runtime = backend(simulate, 4);
+    const Future early = runtime.submit(lasting("early", 1));
+    const Future late = runtime.submit(lasting("late", 3));
+    runtime.track(late);
+    runtime.barrier();
+    // Tracked after it turned terminal: appended at once, behind `late`.
+    runtime.track(early);
+    EXPECT_EQ(runtime.next_completion().producer, late.producer);
+    EXPECT_EQ(runtime.next_completion().producer, early.producer);
+
+    // Doomed at submission (no node has 64 cpus): terminal before track.
+    const Future infeasible = runtime.submit(timed("infeasible", 1.0, {.cpus = 64}));
+    EXPECT_NE(runtime.graph().task(infeasible.producer).terminal_seq, 0u);
+    runtime.track(infeasible);
+    EXPECT_EQ(runtime.next_completion().producer, infeasible.producer);
+  }
+}
+
+TEST(Completions, TrackedQueueNeverDeliversACancelledTask) {
+  for (const bool simulate : {false, true}) {
+    SCOPED_TRACE(simulate ? "sim" : "threads");
+    // Two slots: `finished` and `running` start at once; `pending` and
+    // `keeper` wait for a slot.
+    Runtime runtime = backend(simulate, 2);
+    const Future finished = runtime.submit(lasting("finished", 1));
+    const Future running = runtime.submit(lasting("running", 8));
+    const Future pending = runtime.submit(lasting("pending", 1));
+    const Future keeper = runtime.submit(lasting("keeper", 2));
+    for (const Future& f : {finished, running, pending, keeper}) runtime.track(f);
+
+    EXPECT_TRUE(runtime.cancel(pending));  // still pending
+    runtime.wait_on(finished);             // terminal, not yet delivered
+    EXPECT_FALSE(runtime.cancel(finished));
+    EXPECT_TRUE(runtime.cancel(running));  // abandon-on-finish
+
+    EXPECT_EQ(runtime.next_completion().producer, keeper.producer);
+    // The abandoned attempt is still running, but nobody waits for it.
+    if (simulate) {
+      EXPECT_DOUBLE_EQ(runtime.now(), 3.0);
+    }
+    EXPECT_EQ(runtime.graph().task(running.producer).state, TaskState::Running);
+    EXPECT_THROW(runtime.next_completion(), std::invalid_argument);
+    runtime.barrier();
+    EXPECT_EQ(runtime.graph().task(running.producer).state, TaskState::Cancelled);
+  }
+}
+
+TEST(Completions, TrackedQueueTimeoutReturnsEmptyAndRecordsNoWaitAny) {
+  for (const bool simulate : {false, true}) {
+    SCOPED_TRACE(simulate ? "sim" : "threads");
+    Runtime runtime = backend(simulate, 4);
+    const Future f = runtime.submit(lasting("long", 4));
+    runtime.track(f);
+    const Future none = runtime.next_completion(runtime.now() + (simulate ? 1.0 : 0.02));
+    EXPECT_EQ(none.producer, kNoTask);
+    EXPECT_EQ(wait_any_events(runtime), 0u);
+    EXPECT_FALSE(runtime.graph().task(f.producer).synced);
+    EXPECT_EQ(runtime.next_completion().producer, f.producer);  // still tracked
+    EXPECT_EQ(wait_any_events(runtime), 1u);
+  }
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Study-session and StudyManager tests: per-study task tagging and
 // completion routing, cancellation isolation, engine fair-share/quota/
 // pause at the scheduler seam, cooperative multi-study runs with
-// different algorithms on both backends, kill mid-rung, pause/resume and
-// crash-resume determinism, and two-study isolation under fault
-// injection (the chaos face of the multi-study contract).
+// different algorithms on both backends, kill mid-rung, early stop with
+// finished-but-unrouted trials, pause/resume and crash-resume
+// determinism, two-study isolation under fault injection (the chaos face
+// of the multi-study contract), and a pinned hash of seeded
+// manager-driven simulator schedules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -23,6 +26,7 @@
 #include "runtime/runtime.hpp"
 #include "runtime/study_session.hpp"
 #include "service/study_manager.hpp"
+#include "support/log.hpp"
 #include "support/rng.hpp"
 
 namespace chpo {
@@ -66,23 +70,25 @@ TEST(StudySession, TasksCarryTheirStudyTagAndCompletionsRoutePerStudy) {
     EXPECT_NE(a.id(), b.id());
     EXPECT_EQ(a.name(), "alpha");
 
-    a.drain_completions();  // opt in before submitting
-    b.drain_completions();
     std::vector<rt::Future> a_tasks, b_tasks;
     for (int i = 0; i < 3; ++i) a_tasks.push_back(a.submit(noop_task()));
     for (int i = 0; i < 2; ++i) b_tasks.push_back(b.submit(noop_task()));
+    for (const rt::Future& f : a_tasks) a.track(f);
+    for (const rt::Future& f : b_tasks) b.track(f);
 
     for (const rt::Future& f : a_tasks) EXPECT_EQ(runtime.graph().task(f.producer).study, a.id());
     for (const rt::Future& f : b_tasks) EXPECT_EQ(runtime.graph().task(f.producer).study, b.id());
 
-    a.barrier();
-    b.barrier();
-    const std::vector<rt::TaskId> a_done = a.drain_completions();
-    const std::vector<rt::TaskId> b_done = b.drain_completions();
-    EXPECT_EQ(a_done.size(), 3u);
-    EXPECT_EQ(b_done.size(), 2u);
-    for (const rt::TaskId t : a_done) EXPECT_EQ(runtime.graph().task(t).study, a.id());
-    for (const rt::TaskId t : b_done) EXPECT_EQ(runtime.graph().task(t).study, b.id());
+    // One queue for the whole runtime; the study tag routes each entry.
+    std::map<rt::StudyId, std::vector<rt::TaskId>> done;
+    for (int i = 0; i < 5; ++i) {
+      const rt::TaskId t = a.next_completion().producer;
+      done[runtime.graph().task(t).study].push_back(t);
+    }
+    EXPECT_EQ(done[a.id()].size(), 3u);
+    EXPECT_EQ(done[b.id()].size(), 2u);
+    for (const rt::TaskId t : done[a.id()]) EXPECT_EQ(runtime.graph().task(t).study, a.id());
+    for (const rt::TaskId t : done[b.id()]) EXPECT_EQ(runtime.graph().task(t).study, b.id());
   }
 }
 
@@ -452,6 +458,59 @@ TEST(StudyManager, KillMidRungCancelsOnlyThatStudy) {
   EXPECT_EQ(manager.lineage_violations(), 0u);
 }
 
+TEST(StudyManager, StopOnAccuracyDropsFinishedButUnroutedTrials) {
+  // Trials can finish while the manager is not consuming completions: here
+  // the plotter's final plot waits for a slot inside resume(), and the
+  // stopper's three equal trials all land during that wait. The first one
+  // routed crosses the threshold; the early stop must drop the other two
+  // from the completion queue. Otherwise the steps that wait for the
+  // keeper's long trial deliver them to a pump that no longer holds them.
+  const ml::Dataset dataset = ml::make_mnist_like(80, 20, 8);
+  service::ManagerOptions options;
+  options.runtime = small_cluster(/*simulate=*/true, /*cpus=*/4, /*nodes=*/1);
+  service::StudyManager manager(std::move(options), dataset);
+
+  const auto one_config = [](const std::string& name, const std::string& space,
+                             std::uint64_t seed) {
+    service::StudySpec spec = point_spec(name, "grid", 0, seed);
+    spec.space = hpo::SearchSpace::from_json_text(space);
+    spec.driver.workload = ml::mnist_paper_model();
+    return spec;
+  };
+  service::StudySpec plotter = one_config(
+      "plotter", R"({"learning_rate": [0.01], "num_epochs": [1], "batch_size": [16]})", 37);
+  plotter.driver.visualise = true;
+  service::StudySpec stopper = one_config(
+      "stopper", R"({"learning_rate": [0.01, 0.02, 0.05], "num_epochs": [3], "batch_size": [16]})",
+      31);
+  stopper.driver.stop_on_accuracy = 1e-9;  // any successful trial stops it
+  const rt::StudyId p = manager.submit(std::move(plotter));
+  const rt::StudyId s = manager.submit(std::move(stopper));
+  const rt::StudyId k = manager.submit(one_config(
+      "keeper", R"({"learning_rate": [0.01], "num_epochs": [8], "batch_size": [16]})", 41));
+
+  // Admit all; the plotter's short trial and the stopper's three start.
+  ASSERT_EQ(manager.step_for(1.0), service::StudyManager::StepOutcome::Idle);
+  // Consume the plotter's trial while it is paused, so its plot is only
+  // submitted at resume(), when every slot is taken.
+  manager.pause(p);
+  ASSERT_TRUE(manager.step());
+  ASSERT_EQ(manager.state(p), service::StudyState::Paused);
+  ASSERT_EQ(manager.stats().completions_routed, 1u);
+  manager.resume(p);  // finishes the plotter; its plot outlasts the stopper's trials
+  ASSERT_EQ(manager.state(p), service::StudyState::Finished);
+  EXPECT_FALSE(manager.outcome(p).report.empty());
+  ASSERT_EQ(manager.progress(s).done, 3u);  // all finished, none routed yet
+
+  manager.run_all();
+  ASSERT_EQ(manager.state(s), service::StudyState::Finished);
+  EXPECT_TRUE(manager.outcome(s).stopped_early);
+  EXPECT_EQ(manager.outcome(s).trials.size(), 1u);
+  EXPECT_EQ(manager.state(k), service::StudyState::Finished);
+  EXPECT_EQ(manager.stats().completions_routed, 3u);  // plotter, stopper, keeper
+  EXPECT_EQ(manager.leaked_completions(), 0u);
+}
+
 struct BestSnapshot {
   double accuracy = -1.0;
   std::string config;
@@ -594,6 +653,168 @@ TEST(StudyManager, TwoStudyIsolationUnderFaultInjection) {
     EXPECT_GT(retries, 0u);
     for (const rt::StudyId s : retry_studies) EXPECT_TRUE(s == ra || s == rb);
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Golden manager schedules: seeded multi-study programs on the simulator
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over 64-bit words, the hash GoldenSchedules pins (test_properties).
+struct ScheduleHash {
+  std::uint64_t value = 1469598103934665603ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      value ^= (v >> (8 * i)) & 0xffU;
+      value *= 1099511628211ULL;
+    }
+  }
+  void add_time(double seconds) { add(static_cast<std::uint64_t>(std::llround(seconds * 1e9))); }
+};
+
+/// One seeded StudyManager program; `seed % 6` picks the scenario:
+/// 0 grid with reuse + visualise beside a windowed random/tpe pair,
+/// 1 halving beside hyperband, 2 stop_on_accuracy, 3 pause/resume plus a
+/// kill mid-rung, 4 node churn with task failures, 5 step_for with small
+/// budgets. Every lifecycle event, every step result and every trace
+/// event goes into `hash`.
+void run_golden_manager_program(std::uint64_t seed, ScheduleHash& hash) {
+  Rng rng(seed * 104729 + 7);
+  const int scenario = static_cast<int>(seed % 6);
+  const ml::Dataset dataset = ml::make_mnist_like(60, 20, seed + 1);
+  const std::size_t nodes = scenario == 4 ? 3 : static_cast<std::size_t>(rng.next_int(1, 2));
+  service::ManagerOptions options;
+  options.runtime = small_cluster(/*simulate=*/true,
+                                  static_cast<unsigned>(rng.next_int(2, 4)), nodes);
+  options.runtime.seed = seed;
+  if (rng.next_bool(0.3)) options.max_active = 1;
+  if (scenario == 4) {
+    rt::FaultInjector injector(seed, /*task_failure_prob=*/0.1);
+    const double down = rng.next_uniform(5.0, 60.0);
+    injector.schedule_node_failure(nodes - 1, down);
+    injector.schedule_node_recovery(nodes - 1, down + rng.next_uniform(10.0, 90.0));
+    options.runtime.injector = injector;
+    options.runtime.fault_policy.max_attempts = 5;
+  }
+  service::StudyManager manager(std::move(options), dataset);
+  manager.set_event_tap([&hash](const service::StudyEvent& e) {
+    hash.add(static_cast<std::uint64_t>(e.kind));
+    hash.add(e.study);
+    hash.add(static_cast<std::uint64_t>(e.state));
+    hash.add(e.trials_done);
+    if (e.trial == nullptr) return;
+    hash.add(static_cast<std::uint64_t>(e.trial->index));
+    hash.add(e.trial->task);
+    hash.add(e.trial->failed ? 1 : 0);
+    hash.add(static_cast<std::uint64_t>(e.trial->attempts));
+    hash.add_time(e.trial->result.final_val_accuracy);
+  });
+
+  const auto spec = [&](const std::string& algorithm, std::size_t budget) {
+    service::StudySpec s = point_spec(algorithm, algorithm, budget, seed * 31 + budget);
+    s.driver.workload = ml::mnist_paper_model();
+    s.halving.initial_configs = static_cast<std::size_t>(rng.next_int(3, 6));
+    s.halving.initial_epochs = 1;
+    s.halving.max_epochs = 4;
+    s.hyperband.max_epochs = 4;
+    s.hyperband.eta = 2.0;
+    return s;
+  };
+  std::vector<rt::StudyId> ids;
+  switch (scenario) {
+    case 0: {
+      service::StudySpec grid = spec("grid", 0);
+      grid.driver.reuse.enabled = true;
+      grid.driver.visualise = true;
+      service::StudySpec random = spec("random", 6);
+      random.driver.parallel_suggestions = 3;
+      service::StudySpec tpe = spec("tpe", 5);
+      tpe.driver.parallel_suggestions = 2;
+      ids = {manager.submit(std::move(grid)), manager.submit(std::move(random)),
+             manager.submit(std::move(tpe))};
+      break;
+    }
+    case 1: {
+      service::StudySpec hyperband = spec("hyperband", 0);
+      hyperband.driver.reuse.enabled = rng.next_bool(0.5);
+      ids = {manager.submit(spec("halving", 0)), manager.submit(std::move(hyperband))};
+      break;
+    }
+    case 2: {
+      service::StudySpec stopper = spec("random", 8);
+      stopper.driver.stop_on_accuracy = 0.05;
+      stopper.driver.visualise = true;
+      service::StudySpec grid = spec("grid", 0);
+      grid.driver.stop_on_accuracy = rng.next_uniform(0.15, 0.3);
+      ids = {manager.submit(std::move(stopper)), manager.submit(std::move(grid))};
+      break;
+    }
+    case 4:
+      ids = {manager.submit(spec("grid", 0)), manager.submit(spec("random", 6))};
+      break;
+    default:
+      ids = {manager.submit(spec("halving", 0)), manager.submit(spec("random", 6)),
+             manager.submit(spec("grid", 0))};
+      break;
+  }
+
+  const auto note = [&hash, &manager](std::uint64_t step_result) {
+    hash.add(step_result);
+    hash.add_time(manager.now());
+  };
+  if (scenario == 3) {
+    // Pause the random study early, kill the halving one mid-rung, resume.
+    for (int i = 0; i < 2; ++i) note(manager.step() ? 1 : 0);
+    manager.pause(ids[1]);
+    for (int i = 0; i < 3; ++i) note(manager.step() ? 1 : 0);
+    if (manager.state(ids[0]) == service::StudyState::Running) manager.kill(ids[0]);
+    note(manager.step() ? 1 : 0);
+    manager.resume(ids[1]);
+  }
+  if (scenario == 5) {
+    // Bounded steps with budgets far below a trial's virtual length, and a
+    // pause/resume of the grid study in between.
+    for (int i = 0; manager.busy(); ++i) {
+      if (i == 4) manager.pause(ids[2]);
+      if (i == 9) manager.resume(ids[2]);
+      note(static_cast<std::uint64_t>(manager.step_for(rng.next_uniform(0.0, 40.0))));
+    }
+    manager.resume(ids[2]);
+  }
+  while (manager.busy()) note(manager.step() ? 1 : 0);
+
+  for (const rt::StudyId id : ids) {
+    hash.add(static_cast<std::uint64_t>(manager.state(id)));
+    const hpo::HpoOutcome& outcome = manager.outcome(id);
+    hash.add(outcome.trials.size());
+    hash.add(static_cast<std::uint64_t>(outcome.best_index + 1));
+    hash.add(outcome.stopped_early ? 1 : 0);
+    hash.add(outcome.report.size());
+  }
+  const service::ManagerStats stats = manager.stats();
+  hash.add(stats.completions_routed);
+  hash.add(stats.leaked_completions);
+  for (const trace::Event& e : manager.trace().events()) {
+    hash.add(static_cast<std::uint64_t>(e.kind));
+    hash.add(e.task_id);
+    hash.add(e.study);
+    hash.add(static_cast<std::uint64_t>(e.attempt));
+    hash.add(static_cast<std::uint64_t>(e.node));
+    hash.add(e.cores.size());
+    for (const unsigned core : e.cores) hash.add(core);
+    hash.add_time(e.t_start);
+    hash.add_time(e.t_end);
+  }
+}
+
+TEST(GoldenStudies, ManagerSchedulesMatchThePinnedHash) {
+  const LogLevel before = log_level();
+  set_log_level(LogLevel::Error);  // kills, failures and node deaths are by design
+  ScheduleHash hash;
+  for (std::uint64_t seed = 0; seed < 12; ++seed) run_golden_manager_program(seed, hash);
+  set_log_level(before);
+  EXPECT_EQ(hash.value, 4894869927058686360ULL)
+      << "manager-driven simulator schedules changed";
 }
 
 }  // namespace

@@ -215,8 +215,8 @@ void rule_callback_in_engine_mutation(const SourceFile& file,
 bool blocking_method(const std::string& name) {
   static const char* kBlocking[] = {"handle",       "handle_line_error", "step",
                                     "step_for",     "run_all",           "wait_any",
-                                    "wait_any_for", "wait_on",           "barrier",
-                                    "sync"};
+                                    "wait_any_for", "next_completion",   "wait_on",
+                                    "barrier",      "sync"};
   for (const char* m : kBlocking)
     if (name == m) return true;
   return false;

@@ -33,7 +33,8 @@
 //   registry-lock-blocking-call  src/daemon/ may not call a blocking
 //                              Server/StudyManager/journal method (.handle,
 //                              .step, .step_for, .run_all, .wait_any*,
-//                              .wait_on, .barrier, .sync) — or fsync() —
+//                              .next_completion, .wait_on, .barrier,
+//                              .sync) — or fsync() —
 //                              while a MutexLock guard is live: the
 //                              connection-registry/queue locks are for
 //                              moving data across threads, and holding one
