@@ -132,101 +132,72 @@ void Engine::push_ready(TaskRecord& record) {
   if (record.in_ready) return;  // already queued (and its entry is live)
   record.in_ready = true;
   ++record.ready_epoch;
-  ready_shards_[record.study].fifo.emplace_back(record.id, record.ready_epoch);
+  ReadyShard& shard = ready_shards_[record.study];
+  shard.fifo.push_back(ReadyEntry{.id = record.id, .epoch = record.ready_epoch});
+  // Ids mostly become ready in ascending order: hint the end.
+  shard.ordered.emplace_hint(shard.ordered.end(),
+                             RankedTask{.priority = record.def.priority, .id = record.id});
+  count_demand(record, +1);
   ++ready_total_;
 }
 
 void Engine::remove_from_ready(TaskRecord& record) {
   if (!record.in_ready) return;
   record.in_ready = false;
-  ++record.ready_epoch;  // the queued entry no longer matches: stale
+  ++record.ready_epoch;  // the queued FIFO entry no longer matches: stale
+  ready_shards_[record.study].ordered.erase(
+      RankedTask{.priority = record.def.priority, .id = record.id});
+  count_demand(record, -1);
   --ready_total_;
+}
+
+void Engine::count_demand(const TaskRecord& record, int delta) {
+  // The least of each resource over the task's implementations: a node
+  // with less room than this fits none of them. A node-exclusive
+  // implementation takes every core of whatever node it lands on, so it
+  // bounds the cpus by nothing.
+  Constraint least = record.def.constraint;
+  if (least.node_exclusive) least.cpus = 0;
+  for (const TaskVariant& variant : record.def.variants) {
+    const Constraint& constraint = variant.constraint;
+    least.cpus = std::min(least.cpus, constraint.node_exclusive ? 0u : constraint.cpus);
+    least.gpus = std::min(least.gpus, constraint.gpus);
+  }
+  const auto count = [delta](std::map<unsigned, std::size_t>& counts, unsigned value) {
+    if (delta > 0) {
+      ++counts[value];
+    } else if (const auto it = counts.find(value); --it->second == 0) {
+      counts.erase(it);
+    }
+  };
+  count(ready_cpu_demand_, least.cpus);
+  count(ready_gpu_demand_, least.gpus);
+}
+
+Constraint Engine::smallest_demand() const {
+  return Constraint{.cpus = ready_cpu_demand_.empty() ? 0u : ready_cpu_demand_.begin()->first,
+                    .gpus = ready_gpu_demand_.empty() ? 0u : ready_gpu_demand_.begin()->first};
 }
 
 std::vector<Dispatch> Engine::schedule(double now) {
   std::vector<Dispatch> dispatches;
   process_node_events(now, dispatches);
 
-  // One walk per study shard: compact lazily-removed (stale) entries in
-  // place and lineage-gate the survivors. A ready task whose input
-  // versions died with a node stays queued (its recovery is demanded
-  // here) instead of dispatching into a DataLostError; tasks with
-  // unrecoverable inputs fail below. The gate runs before
-  // dispatch_recoveries so a recovery it demands can launch in this same
-  // pass. The per-input version_lost probes (a shared-lock registry
-  // lookup each) only run while some version is actually lost — the
-  // common case skips them entirely.
-  const bool gate = graph_.registry().lost_count() > 0;
-  // Study policy (pause / max_running quota) is applied here, during the
-  // walk, by capping how many live entries each shard contributes — the
-  // first `budget` survivors, i.e. exactly the set the old post-hoc
-  // truncation kept. Held entries are still compacted and lineage-gated,
-  // they just don't become candidates this round.
-  //
-  // Candidate collection has two shapes. Order-insensitive schedulers
-  // (everything but Fifo) re-sort by (priority, id) anyway, so their
-  // candidates go straight into one flat reused buffer and the fair-share
-  // interleave is skipped wholesale. Fifo consumes engine order, so its
-  // candidates keep per-study lists for the weighted-deficit interleave.
-  const bool interleave = scheduler_->order_sensitive();
-  std::map<StudyId, std::vector<TaskId>> runnable;
-  schedule_scratch_.clear();
-  std::vector<TaskId> doomed;
-  for (auto& [study, shard] : ready_shards_) {
-    const StudyPolicy policy = policy_for(study);
-    std::size_t budget = shard.fifo.size();
-    if (policy.paused) {
-      budget = 0;
-    } else if (policy.max_running > 0) {
-      // Lineage-recovery attempts re-execute Done tasks on the engine's
-      // behalf and never count against a study's cap — the shard counter
-      // only tracks non-recovery attempts.
-      const int slots = policy.max_running - shard.running;
-      budget = slots > 0 ? static_cast<std::size_t>(slots) : 0;
-    }
-    std::vector<TaskId>* live = nullptr;
-    std::size_t taken = 0;
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < shard.fifo.size(); ++read) {
-      const std::pair<TaskId, std::uint32_t> entry = shard.fifo[read];
-      TaskRecord& record = graph_.task(entry.first);
-      if (!record.in_ready || record.ready_epoch != entry.second) continue;  // stale: drop
-      shard.fifo[write++] = entry;
-      if (gate) {
-        bool task_doomed = false;
-        if (!inputs_ready(record, now, task_doomed)) {
-          if (task_doomed) doomed.push_back(entry.first);
-          continue;  // held behind lineage recovery (or failed below)
-        }
-      }
-      if (taken >= budget) continue;  // paused or at quota: hold, keep compacting
-      ++taken;
-      if (interleave) {
-        if (live == nullptr) live = &runnable[study];
-        live->push_back(entry.first);
-      } else {
-        schedule_scratch_.push_back(entry.first);
-      }
-    }
-    shard.fifo.resize(write);
-  }
-  for (TaskId id : doomed) {
-    TaskRecord& record = graph_.task(id);
-    remove_from_ready(record);
-    record.state = TaskState::Failed;
-    record.failure_reason = "input data lost with a node and unrecoverable";
-    mark_terminal(id);
-    cancel_dependents(id);
-  }
+  // Lineage gating runs before dispatch_recoveries so a recovery it
+  // demands can launch in this same pass. Its per-input version_lost
+  // probes (a shared-lock registry lookup each) only run while some
+  // version is actually lost; the common case skips the walk entirely.
+  if (graph_.registry().lost_count() > 0) gate_ready_shards(now);
   // Recoveries get resource priority over fresh placements: downstream
   // work is already blocked on them.
   dispatch_recoveries(now, dispatches);
-  std::vector<TaskId> interleaved;
-  if (interleave) interleaved = apply_study_policy(runnable);
-  const std::vector<TaskId>& ordered = interleave ? interleaved : schedule_scratch_;
-  if (ordered.empty()) return dispatches;
 
-  std::vector<Dispatch> placed = scheduler_->schedule(ordered, graph_, resources_);
+  // The scheduler pulls candidates lazily in the order its policy needs;
+  // the round stops reading the shards when it stops pulling.
+  open_round();
+  std::vector<Dispatch> placed;
+  if (ready_total_ > 0)
+    placed = scheduler_->schedule(static_cast<CandidateSource&>(*this), graph_, resources_);
   for (Dispatch& d : placed) {
     TaskRecord& record = graph_.task(d.task);
     remove_from_ready(record);
@@ -246,7 +217,175 @@ std::vector<Dispatch> Engine::schedule(double now) {
                               .t_end = now});
     dispatches.push_back(std::move(d));
   }
+  close_round();
   return dispatches;
+}
+
+void Engine::gate_ready_shards(double now) {
+  // Walk every live entry, held studies included, in StudyId then
+  // readiness order: a ready task whose input versions died with a node
+  // stays queued (its recovery is demanded here) instead of dispatching
+  // into a DataLostError; one with unrecoverable inputs fails below. The
+  // walk compacts each FIFO in place, since it reads all of it anyway.
+  std::vector<TaskId> doomed;
+  for (auto& [study, shard] : ready_shards_) {
+    std::size_t write = 0;
+    for (std::size_t read = 0; read < shard.fifo.size(); ++read) {
+      ++ready_visits_;
+      const ReadyEntry entry = shard.fifo[read];
+      if (!entry_live(entry)) continue;  // stale: drop
+      shard.fifo[write++] = entry;
+      bool task_doomed = false;
+      if (inputs_ready(graph_.task(entry.id), now, task_doomed)) continue;
+      if (task_doomed) doomed.push_back(entry.id);
+      round_held_.push_back(entry.id);  // held behind lineage recovery (or failed below)
+    }
+    shard.fifo.resize(write);
+  }
+  std::sort(round_held_.begin(), round_held_.end());
+  for (TaskId id : doomed) {
+    TaskRecord& record = graph_.task(id);
+    remove_from_ready(record);
+    record.state = TaskState::Failed;
+    record.failure_reason = "input data lost with a node and unrecoverable";
+    mark_terminal(id);
+    cancel_dependents(id);
+  }
+}
+
+void Engine::open_round() {
+  round_.clear();
+  round_members_.clear();
+  round_ranked_ = false;
+  if (ready_total_ == 0) return;
+  for (auto& [study, shard] : ready_shards_) {
+    if (shard.ordered.empty()) continue;
+    const StudyPolicy policy = policy_for(study);
+    if (policy.paused) continue;
+    RoundCursor cursor;
+    cursor.shard = &shard;
+    cursor.ranked = shard.ordered.begin();
+    if (policy.max_running > 0) {
+      // Lineage-recovery attempts re-execute Done tasks on the engine's
+      // behalf and never count against a study's cap — the shard counter
+      // only tracks non-recovery attempts.
+      const int slots = policy.max_running - shard.running;
+      if (slots <= 0) continue;
+      cursor.budget = static_cast<std::size_t>(slots);
+    }
+    cursor.active = shard.running;
+    cursor.inv_weight = 1.0 / policy.weight;
+    round_.push_back(cursor);
+  }
+}
+
+const Engine::ReadyEntry* Engine::walk_fifo(RoundCursor& cursor) {
+  const std::deque<ReadyEntry>& fifo = cursor.shard->fifo;
+  if (cursor.taken >= cursor.budget) return nullptr;
+  while (cursor.walked < fifo.size()) {
+    ++ready_visits_;
+    const ReadyEntry& entry = fifo[cursor.walked++];
+    if (!entry_live(entry) || round_holds(entry.id)) continue;
+    ++cursor.taken;
+    return &entry;
+  }
+  return nullptr;
+}
+
+std::optional<TaskId> Engine::next_by_readiness() {
+  // The deficit is a multiply by the precomputed reciprocal weight: the
+  // scan runs once per grant. `active` starts at the shard's running
+  // counter, so only studies whose counter moved shift the interleave.
+  while (true) {
+    RoundCursor* best = nullptr;
+    double best_deficit = 0.0;
+    for (RoundCursor& cursor : round_) {
+      if (cursor.exhausted) continue;
+      const double deficit = static_cast<double>(cursor.active) * cursor.inv_weight;
+      if (best == nullptr || deficit < best_deficit) {
+        best = &cursor;
+        best_deficit = deficit;
+      }
+    }
+    if (best == nullptr) return std::nullopt;
+    if (const ReadyEntry* entry = walk_fifo(*best)) {
+      ++best->active;
+      return entry->id;
+    }
+    best->exhausted = true;
+  }
+}
+
+const Engine::RankedTask* Engine::ranked_head(RoundCursor& cursor) {
+  const std::set<RankedTask>& ordered = cursor.shard->ordered;
+  for (; cursor.ranked != ordered.end(); ++cursor.ranked) {
+    if (!round_holds(cursor.ranked->id)) return &*cursor.ranked;
+    ++ready_visits_;  // held by the lineage gate: step past it
+  }
+  return nullptr;
+}
+
+std::optional<TaskId> Engine::next_by_priority() {
+  if (!round_ranked_) {
+    // A quota shard's membership is its first `budget` live FIFO entries
+    // (the tasks that became ready first), ranked among themselves: an
+    // O(quota) walk, once per round.
+    round_ranked_ = true;
+    for (RoundCursor& cursor : round_) {
+      if (!cursor.capped()) continue;
+      cursor.member_next = round_members_.size();
+      while (const ReadyEntry* entry = walk_fifo(cursor))
+        round_members_.push_back(
+            RankedTask{.priority = graph_.task(entry->id).def.priority, .id = entry->id});
+      cursor.member_end = round_members_.size();
+      std::sort(round_members_.begin() + static_cast<std::ptrdiff_t>(cursor.member_next),
+                round_members_.end());
+    }
+  }
+  RoundCursor* best = nullptr;
+  const RankedTask* best_head = nullptr;
+  for (RoundCursor& cursor : round_) {
+    const RankedTask* head = nullptr;
+    if (!cursor.capped())
+      head = ranked_head(cursor);
+    else if (cursor.member_next < cursor.member_end)
+      head = &round_members_[cursor.member_next];
+    if (head != nullptr && (best_head == nullptr || *head < *best_head)) {
+      best = &cursor;
+      best_head = head;
+    }
+  }
+  if (best == nullptr) return std::nullopt;
+  if (best->capped()) {
+    ++best->member_next;  // walk_fifo counted its visit
+  } else {
+    ++best->ranked;
+    ++ready_visits_;
+  }
+  return best_head->id;
+}
+
+void Engine::close_round() {
+  // Walked FIFO prefixes lose their stale entries (this round's
+  // placements included), so no later round walks them again.
+  for (RoundCursor& cursor : round_) {
+    if (cursor.walked == 0) continue;
+    std::deque<ReadyEntry>& fifo = cursor.shard->fifo;
+    std::size_t keep = cursor.walked;
+    for (std::size_t read = cursor.walked; read-- > 0;) {
+      ++ready_visits_;
+      if (entry_live(fifo[read])) fifo[--keep] = fifo[read];
+    }
+    fifo.erase(fifo.begin(), fifo.begin() + static_cast<std::ptrdiff_t>(keep));
+  }
+  round_held_.clear();
+  // Compaction once stale entries outnumber live ones: each pass costs
+  // at most twice the removals since the last, so O(1) amortised.
+  for (auto& [study, shard] : ready_shards_) {
+    if (shard.fifo.size() <= 2 * shard.ordered.size()) continue;
+    ready_visits_ += shard.fifo.size();
+    std::erase_if(shard.fifo, [this](const ReadyEntry& entry) { return !entry_live(entry); });
+  }
 }
 
 void Engine::set_study_policy(StudyId study, StudyPolicy policy) {
@@ -325,66 +464,6 @@ bool Engine::release_study(StudyId study) {
   ready_shards_.erase(study);
   study_policies_.erase(study);
   return true;
-}
-
-std::vector<TaskId> Engine::apply_study_policy(std::map<StudyId, std::vector<TaskId>>& runnable) {
-  std::vector<TaskId> out;
-  if (runnable.empty()) return out;
-  // Lists arrive pre-filtered from the ready-shard walk (pause and
-  // max_running quotas already applied by capping each shard's
-  // contribution), so a single study's order is just its FIFO order.
-  if (runnable.size() == 1) return std::move(runnable.begin()->second);
-
-  // Weighted-deficit interleave: repeatedly grant the study whose
-  // (running + granted) / weight is smallest, so over time each study's
-  // share of placements tracks its weight. `running` is the shard counter
-  // maintained at attempt registration/conclusion — an O(studies) read
-  // per pass instead of an O(inflight) rescan; only studies whose counter
-  // actually moved shift the interleave. Ties go to the lowest StudyId —
-  // deterministic on both backends (std::map iterates in id order).
-  //
-  // The deficit is a multiply by the precomputed reciprocal weight: the
-  // scan runs once per granted task, so a divide here is measurable in
-  // storms.
-  struct Cursor {
-    std::vector<TaskId>* list = nullptr;
-    std::size_t next = 0;
-    int active = 0;
-    double inv_weight = 1.0;
-  };
-  // A flat array, filled in StudyId order (the map guarantees it): the
-  // selection scan below runs once per granted task, so it must walk
-  // contiguous memory, and "first cursor wins ties" then means "lowest
-  // StudyId wins" — deterministic on both backends.
-  std::vector<Cursor> cursors;
-  cursors.reserve(runnable.size());
-  std::size_t total = 0;
-  for (auto& [study, list] : runnable) {
-    if (list.empty()) continue;
-    Cursor c;
-    c.list = &list;
-    c.active = ready_shards_[study].running;
-    c.inv_weight = 1.0 / policy_for(study).weight;
-    cursors.push_back(c);
-    total += list.size();
-  }
-  out.reserve(total);
-  while (true) {
-    Cursor* best = nullptr;
-    double best_deficit = 0.0;
-    for (Cursor& c : cursors) {
-      if (c.next >= c.list->size()) continue;
-      const double deficit = static_cast<double>(c.active) * c.inv_weight;
-      if (best == nullptr || deficit < best_deficit) {
-        best = &c;
-        best_deficit = deficit;
-      }
-    }
-    if (best == nullptr) break;
-    out.push_back((*best->list)[best->next++]);
-    ++best->active;
-  }
-  return out;
 }
 
 std::string Engine::speculation_key(const TaskRecord& record) const {
@@ -1289,9 +1368,9 @@ bool Engine::reap_infeasible() {
   for (auto& [study, shard] : ready_shards_) {
     std::size_t write = 0;
     for (std::size_t read = 0; read < shard.fifo.size(); ++read) {
-      const std::pair<TaskId, std::uint32_t> entry = shard.fifo[read];
-      TaskRecord& record = graph_.task(entry.first);
-      if (!record.in_ready || record.ready_epoch != entry.second) continue;  // stale: drop
+      const ReadyEntry entry = shard.fifo[read];
+      if (!entry_live(entry)) continue;  // stale: drop
+      TaskRecord& record = graph_.task(entry.id);
       bool feasible = false;
       const int n_variants = static_cast<int>(record.def.variants.size());
       for (int variant = -1; variant < n_variants && !feasible; ++variant) {

@@ -27,8 +27,10 @@
 // predicate lambdas Backend::drive evaluates cannot carry capabilities.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -69,17 +71,22 @@ struct EngineOptions {
   std::uint64_t seed = 42;  ///< base seed for per-attempt task RNGs
 };
 
-/// Per-study scheduling policy, applied at the ready-queue seam (before the
-/// placement scheduler sees the runnable list). Studies multiplexed onto one
-/// engine share resources by weighted fair-share; a paused study's ready
-/// tasks are held (its in-flight attempts still finish and commit).
+/// Per-study scheduling policy, applied at the ready-queue seam (the
+/// candidate source the placement scheduler pulls from). Studies
+/// multiplexed onto one engine share resources by weighted fair-share; a
+/// paused study's ready tasks are held (its in-flight attempts still finish
+/// and commit).
 struct StudyPolicy {
   double weight = 1.0;  ///< fair-share weight between ready queues (> 0)
   int max_running = 0;  ///< cap on concurrently running tasks; 0 = unlimited
   bool paused = false;  ///< hold ready tasks; do not start new attempts
 };
 
-class Engine {
+/// The engine is the CandidateSource its scheduler pulls from: each
+/// scheduling round reads the per-study ready shards lazily (see
+/// next_by_readiness / next_by_priority), so a round costs what it places,
+/// not what is queued.
+class Engine : private CandidateSource {
  public:
   /// Invoked (on the coordinator thread) for every task that reaches a
   /// terminal state — the completion feed the Runtime's wait_any/callback
@@ -295,6 +302,15 @@ class Engine {
   bool all_terminal() const;
   std::size_t ready_count() const { return ready_total_; }
   std::size_t running_count() const { return running_; }
+  /// Completion-order stamps issued so far: moves exactly when some task
+  /// turns terminal, so a wait predicate can skip rescanning its futures
+  /// while it stands still.
+  std::uint64_t terminal_seq() const { return terminal_seq_; }
+  /// Ready-queue entries schedule() has examined so far (walked, popped or
+  /// compacted, stale ones included). A cost statistic for tests and
+  /// benchmarks: divided by the tasks placed it must not grow with the
+  /// length of the ready queues.
+  std::uint64_t ready_visits() const { return ready_visits_; }
 
   ResourceState& resources() { return resources_; }
   const ResourceState& resources() const { return resources_; }
@@ -337,25 +353,100 @@ class Engine {
     int pinned_node = -1;
   };
 
-  /// Fair-share interleave over the pre-filtered runnable lists (one per
-  /// study, each in submission order; pause/quota membership was already
-  /// applied by the ready-shard walk): grant tasks by weighted deficit so
-  /// an order-sensitive scheduler (Fifo) sees a fair-share order. Deficits
-  /// read the per-shard running counters maintained at attempt
-  /// registration and conclusion — only studies whose counter changed
-  /// shift the interleave; nothing rescans inflight_. With a single study
-  /// the input order is preserved. Consumes the lists (moves out of them).
-  /// Order-insensitive schedulers bypass this entirely: their candidates
-  /// are collected flat into schedule_scratch_ during the walk.
-  std::vector<TaskId> apply_study_policy(std::map<StudyId, std::vector<TaskId>>& runnable)
-      CHPO_REQUIRES(g_engine_ctx);
+  /// One queued FIFO entry. `epoch` must equal the record's ready_epoch
+  /// (and the record be in_ready) for the entry to be live.
+  struct ReadyEntry {
+    TaskId id = kNoTask;
+    std::uint32_t epoch = 0;
+  };
+  /// A ready task keyed by (priority desc, id asc), the order every policy
+  /// but Fifo places in.
+  struct RankedTask {
+    bool priority = false;
+    TaskId id = kNoTask;
+    bool operator<(const RankedTask& other) const {
+      return priority != other.priority ? priority : id < other.id;
+    }
+  };
+  /// One study's ready queue, held twice. `fifo` is in readiness order
+  /// (Fifo's order, and the membership of a max_running quota) with lazy
+  /// deletion: remove_from_ready only clears the record's in_ready flag
+  /// and bumps its epoch, a round drops the stale entries it walks past,
+  /// and close_round compacts the deque once its stale entries outnumber
+  /// the live ones — amortised O(1) per removal. `ordered` holds exactly
+  /// the live tasks by rank: remove_from_ready erases from it, and a round
+  /// walks it with an iterator, so nothing is popped and put back.
+  /// `running` counts the study's non-recovery in-flight attempts, the
+  /// fair-share deficit's input.
+  struct ReadyShard {
+    std::deque<ReadyEntry> fifo;
+    std::set<RankedTask> ordered;
+    int running = 0;
+  };
+  /// One shard's view of the current scheduling round (paused shards and
+  /// shards at quota get none).
+  struct RoundCursor {
+    static constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
+    ReadyShard* shard = nullptr;
+    /// Candidates the shard may contribute: the free quota under
+    /// max_running, unbounded otherwise.
+    std::size_t budget = kUnbounded;
+    std::size_t taken = 0;
+    /// Prefix of `fifo` examined this round (compacted at close_round).
+    std::size_t walked = 0;
+    /// Next unpulled task of `ordered` (uncapped shards).
+    std::set<RankedTask>::const_iterator ranked;
+    /// Fair-share deficit numerator: running attempts plus grants so far.
+    int active = 0;
+    double inv_weight = 1.0;
+    bool exhausted = false;
+    /// A quota shard's candidates for next_by_priority, sorted, as a
+    /// [next, end) range of round_members_.
+    std::size_t member_next = 0;
+    std::size_t member_end = 0;
+    bool capped() const { return budget != kUnbounded; }
+  };
+
+  // CandidateSource: the scheduler pulls one round's candidates from here.
+  /// Weighted-deficit interleave of the shards' readiness order: grant the
+  /// cursor whose (running + granted) / weight is smallest, lowest StudyId
+  /// on ties. O(studies) per grant plus the stale entries skipped.
+  std::optional<TaskId> next_by_readiness() override;
+  /// k-way merge over the shards' rank order; a quota shard contributes
+  /// its first `budget` live FIFO entries, sorted.
+  std::optional<TaskId> next_by_priority() override;
+  /// The least cpus and gpus any ready task's cheapest implementation
+  /// asks of one node (O(1), from ready_cpu_demand_ / ready_gpu_demand_).
+  Constraint smallest_demand() const override;
+  /// Set up one cursor per shard with a non-zero budget (O(studies)).
+  void open_round();
+  /// Drop the stale entries of every walked FIFO prefix and compact any
+  /// FIFO whose stale entries outnumber its live ones.
+  void close_round();
+  /// Next live, non-held FIFO entry within the cursor's budget, or nullptr.
+  const ReadyEntry* walk_fifo(RoundCursor& cursor);
+  /// Next non-held task of an uncapped shard's rank order, or nullptr.
+  const RankedTask* ranked_head(RoundCursor& cursor);
+  /// Lineage gate, only while some version is lost: walk every shard in
+  /// full, demand recovery for lost inputs, fail tasks whose inputs are
+  /// unrecoverable and hold the rest out of this round (round_held_).
+  void gate_ready_shards(double now) CHPO_REQUIRES(g_engine_ctx);
+  bool entry_live(const ReadyEntry& entry) const {
+    const TaskRecord& record = graph_.task(entry.id);
+    return record.in_ready && record.ready_epoch == entry.epoch;
+  }
+  bool round_holds(TaskId task) const {
+    return !round_held_.empty() && std::binary_search(round_held_.begin(), round_held_.end(), task);
+  }
+  /// Count `record` in (+1) or out of (-1) the ready demand maps.
+  void count_demand(const TaskRecord& record, int delta);
   StudyPolicy policy_for(StudyId study) const;
 
   void make_ready(TaskId task) CHPO_REQUIRES(g_engine_ctx);
   /// Append `record` to its study's ready shard (stamps a fresh epoch).
   void push_ready(TaskRecord& record) CHPO_REQUIRES(g_engine_ctx);
   /// O(1) lazy removal: clears in_ready and bumps the epoch so the queued
-  /// shard entry is recognised as stale and dropped on the next walk.
+  /// shard entries are recognised as stale and dropped later.
   void remove_from_ready(TaskRecord& record) CHPO_REQUIRES(g_engine_ctx);
   void cancel_dependents(TaskId task) CHPO_REQUIRES(g_engine_ctx);
   void commit_outputs(TaskRecord& task, AttemptResult& result) CHPO_REQUIRES(g_engine_ctx);
@@ -407,23 +498,23 @@ class Engine {
   trace::TraceSink& sink_;
   SpeculationTracker speculation_;
   NodeHealth health_;
-  /// One ready queue per study. `fifo` holds (task, epoch) entries in
-  /// submission order; removal is lazy — remove_from_ready clears the
-  /// record's in_ready flag and bumps its epoch, and the next schedule()
-  /// walk compacts stale entries in place — so dispatch, cancel, and
-  /// doomed-task removal are all O(1) instead of an O(ready) erase.
-  /// `running` counts the study's non-recovery in-flight attempts so the
-  /// fair-share pass reads a counter instead of scanning inflight_.
-  struct ReadyShard {
-    std::deque<std::pair<TaskId, std::uint32_t>> fifo;
-    int running = 0;
-  };
+  /// One ready queue per study (see ReadyShard), in StudyId order.
   std::map<StudyId, ReadyShard> ready_shards_;
   std::size_t ready_total_ = 0;  ///< live (non-stale) entries across shards
-  /// Reused candidate buffer for order-insensitive schedulers: cleared and
-  /// refilled by every schedule() walk so a storm doesn't pay a fresh
-  /// allocation per scheduling round. Coordinator-confined like the rest.
-  std::vector<TaskId> schedule_scratch_;
+  /// State of the scheduling round in progress, reused across rounds so a
+  /// storm pays no allocation per round: the cursors (StudyId order), the
+  /// sorted quota candidates they index and the sorted ids the lineage
+  /// gate holds back.
+  std::vector<RoundCursor> round_;
+  std::vector<RankedTask> round_members_;
+  bool round_ranked_ = false;  ///< quota candidates collected this round
+  std::vector<TaskId> round_held_;
+  std::uint64_t ready_visits_ = 0;
+  /// Ready tasks by the least cpus / gpus any of their implementations
+  /// asks of one node: begin() of each is the smallest demand, the bound
+  /// a round stops pulling at (see smallest_demand).
+  std::map<unsigned, std::size_t> ready_cpu_demand_;
+  std::map<unsigned, std::size_t> ready_gpu_demand_;
   /// Studies with an explicit policy (weight / cap / paused). Absent
   /// studies use the defaults, so the map stays empty until sessions ask
   /// for something non-default.

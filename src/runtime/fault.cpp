@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 namespace chpo::rt {
@@ -12,21 +13,45 @@ double FaultPolicy::retry_delay(int failed_attempts) const {
   return std::min(backoff_max_seconds, backoff_base_seconds * factor);
 }
 
+std::size_t SpeculationTracker::quantile_index(std::size_t n) const {
+  const double q = std::clamp(policy_.quantile, 0.0, 1.0);
+  return std::min(n - 1, static_cast<std::size_t>(q * static_cast<double>(n)));
+}
+
 void SpeculationTracker::record(const std::string& key, double seconds) {
-  std::vector<double>& samples = samples_[key];
-  samples.insert(std::upper_bound(samples.begin(), samples.end(), seconds), seconds);
+  Samples& samples = samples_[key];
+  std::vector<double>& lower = samples.lower;  // max-heap
+  std::vector<double>& upper = samples.upper;  // min-heap
+  const std::greater<> min_heap;
+  if (lower.empty() || seconds <= lower.front()) {
+    lower.push_back(seconds);
+    std::push_heap(lower.begin(), lower.end());
+  } else {
+    upper.push_back(seconds);
+    std::push_heap(upper.begin(), upper.end(), min_heap);
+  }
+  // The wanted split grows by at most one per sample, so one move at most.
+  const std::size_t wanted = quantile_index(samples.size()) + 1;
+  while (lower.size() > wanted) {
+    std::pop_heap(lower.begin(), lower.end());
+    upper.push_back(lower.back());
+    lower.pop_back();
+    std::push_heap(upper.begin(), upper.end(), min_heap);
+  }
+  while (lower.size() < wanted) {
+    std::pop_heap(upper.begin(), upper.end(), min_heap);
+    lower.push_back(upper.back());
+    upper.pop_back();
+    std::push_heap(lower.begin(), lower.end());
+  }
 }
 
 std::optional<double> SpeculationTracker::baseline(const std::string& key) const {
   const auto it = samples_.find(key);
   if (it == samples_.end()) return std::nullopt;
-  const std::vector<double>& samples = it->second;
   const std::size_t required = static_cast<std::size_t>(std::max(2, policy_.min_observations));
-  if (samples.size() < required) return std::nullopt;
-  const double q = std::clamp(policy_.quantile, 0.0, 1.0);
-  const std::size_t index =
-      std::min(samples.size() - 1, static_cast<std::size_t>(q * static_cast<double>(samples.size())));
-  return samples[index];
+  if (it->second.size() < required) return std::nullopt;
+  return it->second.lower.front();
 }
 
 std::optional<double> SpeculationTracker::straggler_threshold(const std::string& key) const {

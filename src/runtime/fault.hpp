@@ -89,8 +89,21 @@ class SpeculationTracker {
   const SpeculationPolicy& policy() const { return policy_; }
 
  private:
+  /// One key's samples, split at the policy quantile: `lower`, a max-heap,
+  /// holds the quantile_index(n) + 1 smallest and `upper`, a min-heap, the
+  /// rest, so the quantile sample is lower's top. A record costs
+  /// O(log n); a sorted vector paid an O(n) insert per completion, which
+  /// made a long run quadratic.
+  struct Samples {
+    std::vector<double> lower;
+    std::vector<double> upper;
+    std::size_t size() const { return lower.size() + upper.size(); }
+  };
+  /// Index of the quantile sample among `n` >= 1 sorted samples.
+  std::size_t quantile_index(std::size_t n) const;
+
   SpeculationPolicy policy_;
-  std::map<std::string, std::vector<double>> samples_;  ///< kept sorted
+  std::map<std::string, Samples> samples_;
 };
 
 /// A node death scheduled at a virtual time (SimBackend).

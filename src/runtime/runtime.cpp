@@ -290,8 +290,13 @@ Future Runtime::wait_first(std::span<const Future> futures, const char* caller, 
 
   const Future* winner = first_finished();
   if (winner == nullptr) {
+    // The drive loop evaluates this after every event; the futures only
+    // need a rescan once some task has turned terminal since the last one.
+    std::uint64_t seen = engine_.terminal_seq();
     backend_->drive(
         [&] {
+          if (engine_.terminal_seq() == seen) return false;
+          seen = engine_.terminal_seq();
           return std::any_of(futures.begin(), futures.end(),
                              [&](const Future& f) { return engine_.task_terminal(f.producer); });
         },

@@ -17,103 +17,17 @@ bool health_allows(const NodeHealth* health, std::size_t node) {
   return health == nullptr || health->allow_placement(node);
 }
 
-/// Ready ids ordered by (priority desc, id asc). The engine hands over
-/// per-study submission order (ids ascend within a study) and priority
-/// tasks are rare, so the list is almost always sorted already — a linear
-/// is_sorted check skips the O(n log n) stable_sort on the hot path (task
-/// storms keep thousands of ready ids queued behind a handful of slots).
-std::vector<TaskId> priority_order(const std::vector<TaskId>& ready, const TaskGraph& graph) {
-  // Bucket, don't comparison-sort: the key is (priority desc, id asc) and
-  // ids are unique, so splitting into two id-sorted buckets is equivalent
-  // to a stable_sort — at one graph lookup per element instead of two per
-  // comparison (the fair-share interleave hands over a study-interleaved
-  // list every round of a storm, so this runs constantly).
-  std::vector<TaskId> order;
-  order.reserve(ready.size());
-  std::vector<TaskId> rest;
-  for (const TaskId id : ready)
-    (graph.task(id).def.priority ? order : rest).push_back(id);
-  if (order.empty()) {
-    order = std::move(rest);
-    if (!std::is_sorted(order.begin(), order.end())) std::sort(order.begin(), order.end());
-    return order;
+/// No node has a free cpu or gpu slot (every constraint requests at least
+/// one resource), or none has room for `demand`, the least any candidate
+/// asks: nothing can place, so the per-task × per-node allocation probes
+/// can be skipped wholesale. This is the steady state of a saturated storm
+/// — thousands of ready tasks, no room for any of them.
+bool nothing_fits(const ResourceState& resources, const Constraint& demand) {
+  for (std::size_t node = 0; node < resources.node_count(); ++node) {
+    const unsigned cpus = resources.free_cpus(node);
+    const unsigned gpus = resources.free_gpus(node);
+    if ((cpus > 0 || gpus > 0) && cpus >= demand.cpus && gpus >= demand.gpus) return false;
   }
-  std::sort(order.begin(), order.end());
-  std::sort(rest.begin(), rest.end());
-  order.insert(order.end(), rest.begin(), rest.end());
-  return order;
-}
-
-/// Candidates in (priority desc, id asc) order, consumed lazily.
-///
-/// The engine hands over a concatenation of per-study ready lists — a few
-/// ascending id runs — and a storm round only ever places a handful of
-/// tasks before the cluster saturates. Sorting thousands of candidates per
-/// round to consume eight of them dominated multi-study profiles, so this
-/// stream detects the runs in one linear pass and then yields ids through
-/// a k-way head merge: O(runs) per task actually consumed, nothing
-/// materialised. Rare shapes (any priority task present, or heavy run
-/// churn) fall back to the eager sorted order — identical output, only the
-/// evaluation strategy differs. `raw` mode yields the input order
-/// untouched (Fifo).
-class CandidateStream {
- public:
-  CandidateStream(const std::vector<TaskId>& ready, const TaskGraph& graph, bool raw)
-      : source_(&ready) {
-    if (raw) {
-      if (!ready.empty()) runs_.push_back({0, ready.size()});
-      return;
-    }
-    bool any_priority = false;
-    std::size_t begin = 0;
-    for (std::size_t i = 0; i < ready.size(); ++i) {
-      if (graph.task(ready[i]).def.priority) any_priority = true;
-      if (i > 0 && ready[i] < ready[i - 1]) {
-        runs_.push_back({begin, i});
-        begin = i;
-      }
-    }
-    if (!ready.empty()) runs_.push_back({begin, ready.size()});
-    if (any_priority || runs_.size() > kMaxRuns) {
-      sorted_ = priority_order(ready, graph);
-      source_ = &sorted_;
-      runs_.clear();
-      runs_.push_back({0, sorted_.size()});
-    }
-  }
-
-  /// Smallest remaining id across run heads (or the next element in eager
-  /// / raw mode, where a single run covers the whole source).
-  std::optional<TaskId> next() {
-    const std::vector<TaskId>& src = *source_;
-    std::size_t best = runs_.size();
-    for (std::size_t r = 0; r < runs_.size(); ++r) {
-      if (runs_[r].head >= runs_[r].end) continue;
-      if (best == runs_.size() || src[runs_[r].head] < src[runs_[best].head]) best = r;
-    }
-    if (best == runs_.size()) return std::nullopt;
-    return src[runs_[best].head++];
-  }
-
- private:
-  /// Beyond this many ascending runs the min-scan loses to one eager sort.
-  static constexpr std::size_t kMaxRuns = 16;
-  struct Run {
-    std::size_t head;
-    std::size_t end;
-  };
-  const std::vector<TaskId>* source_;
-  std::vector<TaskId> sorted_;
-  std::vector<Run> runs_;
-};
-
-/// No node has a single free cpu or gpu slot: nothing can place (every
-/// constraint requests at least one resource), so the per-task × per-node
-/// allocation probes can be skipped wholesale. This is the steady state of
-/// a saturated storm — thousands of ready tasks, zero open slots.
-bool cluster_saturated(const ResourceState& resources) {
-  for (std::size_t node = 0; node < resources.node_count(); ++node)
-    if (resources.free_cpus(node) > 0 || resources.free_gpus(node) > 0) return false;
   return true;
 }
 
@@ -158,15 +72,19 @@ std::optional<Placement> place_implementation(const TaskRecord& task, const Cons
   return std::nullopt;
 }
 
-std::vector<Dispatch> schedule_in_order(const std::vector<TaskId>& ready, bool raw,
+std::optional<TaskId> next_candidate(CandidateSource& ready, bool by_priority) {
+  return by_priority ? ready.next_by_priority() : ready.next_by_readiness();
+}
+
+std::vector<Dispatch> schedule_in_order(CandidateSource& ready, bool by_priority,
                                         const TaskGraph& graph, ResourceState& resources,
                                         bool locality_aware, const NodeHealth* health) {
   std::vector<Dispatch> out;
-  // Saturation check before the stream's linear scan: a fully busy cluster
-  // pays O(nodes), not O(ready).
-  if (cluster_saturated(resources)) return out;
-  CandidateStream order(ready, graph, raw);
-  while (const std::optional<TaskId> next = order.next()) {
+  // A cluster with no room for any candidate pays O(nodes) and pulls
+  // nothing.
+  const Constraint demand = ready.smallest_demand();
+  if (nothing_fits(resources, demand)) return out;
+  while (const std::optional<TaskId> next = next_candidate(ready, by_priority)) {
     const TaskId id = *next;
     const TaskRecord& task = graph.task(id);
     // Primary implementation first, then @implement variants in order.
@@ -182,9 +100,10 @@ std::vector<Dispatch> schedule_in_order(const std::vector<TaskId>& ready, bool r
         break;
       }
     }
-    // A successful placement may have taken the last open slot; stop
-    // probing the (possibly long) tail of ready tasks once it did.
-    if (placed && cluster_saturated(resources)) break;
+    // A successful placement may have taken the last room any candidate
+    // fits in; stop pulling from the (possibly long) ready queues once it
+    // did. (A failed one changes no occupancy.)
+    if (placed && nothing_fits(resources, demand)) break;
   }
   return out;
 }
@@ -221,21 +140,21 @@ std::uint64_t local_input_bytes(const TaskRecord& task, const DataRegistry& regi
   return bytes;
 }
 
-std::vector<Dispatch> FifoScheduler::schedule(const std::vector<TaskId>& ready, const TaskGraph& graph,
+std::vector<Dispatch> FifoScheduler::schedule(CandidateSource& ready, const TaskGraph& graph,
                                               ResourceState& resources) {
-  return schedule_in_order(ready, /*raw=*/true, graph, resources, /*locality_aware=*/false,
-                           effective_health(resources));
-}
-
-std::vector<Dispatch> PriorityScheduler::schedule(const std::vector<TaskId>& ready,
-                                                  const TaskGraph& graph, ResourceState& resources) {
-  return schedule_in_order(ready, /*raw=*/false, graph, resources,
+  return schedule_in_order(ready, /*by_priority=*/false, graph, resources,
                            /*locality_aware=*/false, effective_health(resources));
 }
 
-std::vector<Dispatch> LocalityScheduler::schedule(const std::vector<TaskId>& ready,
-                                                  const TaskGraph& graph, ResourceState& resources) {
-  return schedule_in_order(ready, /*raw=*/false, graph, resources,
+std::vector<Dispatch> PriorityScheduler::schedule(CandidateSource& ready, const TaskGraph& graph,
+                                                  ResourceState& resources) {
+  return schedule_in_order(ready, /*by_priority=*/true, graph, resources,
+                           /*locality_aware=*/false, effective_health(resources));
+}
+
+std::vector<Dispatch> LocalityScheduler::schedule(CandidateSource& ready, const TaskGraph& graph,
+                                                  ResourceState& resources) {
+  return schedule_in_order(ready, /*by_priority=*/true, graph, resources,
                            /*locality_aware=*/true, effective_health(resources));
 }
 
@@ -262,8 +181,7 @@ double estimated_seconds(const TaskRecord& task, int variant, const Placement& p
 
 }  // namespace
 
-std::vector<Dispatch> CostAwareScheduler::schedule(const std::vector<TaskId>& ready,
-                                                   const TaskGraph& graph,
+std::vector<Dispatch> CostAwareScheduler::schedule(CandidateSource& ready, const TaskGraph& graph,
                                                    ResourceState& resources) {
   // A fitting option is taken only if it is within `kSpillFactor` of the
   // task's best achievable duration anywhere on the (live) cluster;
@@ -277,7 +195,12 @@ std::vector<Dispatch> CostAwareScheduler::schedule(const std::vector<TaskId>& re
   const NodeHealth* health = effective_health(resources);
 
   std::vector<Dispatch> out;
-  for (TaskId id : priority_order(ready, graph)) {
+  // Once no node has room for any candidate, stop pulling.
+  const Constraint demand = ready.smallest_demand();
+  while (!nothing_fits(resources, demand)) {
+    const std::optional<TaskId> next = ready.next_by_priority();
+    if (!next) break;
+    const TaskId id = *next;
     const TaskRecord& task = graph.task(id);
     const int n_variants = static_cast<int>(task.def.variants.size());
 

@@ -1,12 +1,16 @@
 // Scheduling policies.
 //
-// Given the set of ready tasks and the current resource occupancy, a policy
-// decides which task to place where. All policies honour the COMPSs
-// priority hint (priority tasks jump the queue) and never oversubscribe —
-// ResourceState is the single source of truth for slot ownership.
+// Given the ready tasks and the current resource occupancy, a policy
+// decides which task to place where. It pulls candidates from a
+// CandidateSource in the order it needs, so a round examines only the
+// candidates it reaches, never the whole ready queue. All policies but
+// Fifo honour the COMPSs priority hint (priority tasks jump the queue),
+// and none oversubscribes — ResourceState is the single source of truth
+// for slot ownership.
 //
 // Policies provided:
-//  * FifoScheduler      — submission order, first node that fits.
+//  * FifoScheduler      — readiness order, interleaved between studies by
+//                         weighted fair share; first node that fits.
 //  * PriorityScheduler  — priority flag first, then submission order
 //                         (the COMPSs default; used by all paper figures).
 //  * LocalityScheduler  — like Priority, but among fitting nodes prefers the
@@ -15,6 +19,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,25 +43,40 @@ struct Dispatch {
   std::uint64_t attempt_id = 0;
 };
 
+/// The ready candidates of one scheduling round, pulled one at a time. A
+/// round reads one of the two orders; each call costs O(studies) plus the
+/// stale entries it skips, whatever the length of the ready queues.
+/// Membership is the same in both: a paused study contributes nothing and
+/// a study under a max_running quota only its free quota's worth of tasks,
+/// the first to have become ready.
+class CandidateSource {
+ public:
+  /// Readiness order within each study, interleaved between studies by
+  /// weighted fair-share deficit (Fifo's order). nullopt when exhausted.
+  virtual std::optional<TaskId> next_by_readiness() = 0;
+  /// (priority desc, id asc) across every study. nullopt when exhausted.
+  virtual std::optional<TaskId> next_by_priority() = 0;
+  /// A lower bound on what every candidate asks of one node: each needs
+  /// at least `cpus` free cores and `gpus` free GPUs on some node to
+  /// place, so a round stops pulling once no node has that much room.
+  virtual Constraint smallest_demand() const = 0;
+
+ protected:
+  ~CandidateSource() = default;
+};
+
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
   virtual std::string name() const = 0;
 
-  /// Place as many ready tasks as resources allow. `ready` is in submission
-  /// order. Allocations are made through `resources` (and must be released
-  /// by the caller when tasks finish). Tasks with excluded nodes are never
+  /// Place as many ready tasks as resources allow, pulling candidates from
+  /// `ready` in this policy's order and no further than it needs.
+  /// Allocations are made through `resources` (and must be released by
+  /// the caller when tasks finish). Tasks with excluded nodes are never
   /// placed there.
-  virtual std::vector<Dispatch> schedule(const std::vector<TaskId>& ready, const TaskGraph& graph,
+  virtual std::vector<Dispatch> schedule(CandidateSource& ready, const TaskGraph& graph,
                                          ResourceState& resources) = 0;
-
-  /// True iff this policy consumes `ready` in the order given. Policies
-  /// that re-sort by (priority, id) — everything except Fifo — return
-  /// false, which lets the engine skip the O(tasks × studies) fair-share
-  /// interleave on the storm hot path: the sort would erase the interleave
-  /// anyway, so only *membership* (pause / max_running truncation) has to
-  /// be computed.
-  virtual bool order_sensitive() const { return false; }
 
   /// Health-gated placement: when a tracker is set, nodes it disallows
   /// (quarantined/probation beyond their concurrency cap) receive no new
@@ -84,22 +104,21 @@ class Scheduler {
 class FifoScheduler : public Scheduler {
  public:
   std::string name() const override { return "fifo"; }
-  bool order_sensitive() const override { return true; }
-  std::vector<Dispatch> schedule(const std::vector<TaskId>& ready, const TaskGraph& graph,
+  std::vector<Dispatch> schedule(CandidateSource& ready, const TaskGraph& graph,
                                  ResourceState& resources) override;
 };
 
 class PriorityScheduler : public Scheduler {
  public:
   std::string name() const override { return "priority"; }
-  std::vector<Dispatch> schedule(const std::vector<TaskId>& ready, const TaskGraph& graph,
+  std::vector<Dispatch> schedule(CandidateSource& ready, const TaskGraph& graph,
                                  ResourceState& resources) override;
 };
 
 class LocalityScheduler : public Scheduler {
  public:
   std::string name() const override { return "locality"; }
-  std::vector<Dispatch> schedule(const std::vector<TaskId>& ready, const TaskGraph& graph,
+  std::vector<Dispatch> schedule(CandidateSource& ready, const TaskGraph& graph,
                                  ResourceState& resources) override;
 };
 
@@ -111,7 +130,7 @@ class LocalityScheduler : public Scheduler {
 class CostAwareScheduler : public Scheduler {
  public:
   std::string name() const override { return "cost-aware"; }
-  std::vector<Dispatch> schedule(const std::vector<TaskId>& ready, const TaskGraph& graph,
+  std::vector<Dispatch> schedule(CandidateSource& ready, const TaskGraph& graph,
                                  ResourceState& resources) override;
 };
 

@@ -264,6 +264,23 @@ TEST(HotPathStdFunction, FlagsAllocationInPerDispatchMethods) {
   EXPECT_NE(hits[3].message.find("ThreadBackend::run_job"), std::string::npos);
 }
 
+TEST(HotPathStdFunction, FlagsAllocationInTheCandidateSource) {
+  // The scheduler pulls every candidate of a round through these methods.
+  const auto findings = lint_files(
+      {{"src/runtime/engine.cpp",
+        "std::optional<TaskId> Engine::next_by_priority() {\n"
+        "  std::function<bool(const RankedTask&, const RankedTask&)> better = std::less<>{};\n"
+        "  return pick(better);\n"
+        "}\n"
+        "void Engine::close_round() {\n"
+        "  std::erase_if(fifo, std::function<bool(const ReadyEntry&)>(is_stale));\n"
+        "}\n"}});
+  const auto hits = of_rule(findings, "hot-path-std-function");
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_NE(hits[0].message.find("Engine::next_by_priority"), std::string::npos);
+  EXPECT_NE(hits[1].message.find("Engine::close_round"), std::string::npos);
+}
+
 TEST(HotPathStdFunction, AllowsColdMethodsAndOtherFiles) {
   // Backend::drive takes a std::function once per wait (its own definition
   // line — the method tracker must attribute it to drive, not the previous

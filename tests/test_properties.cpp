@@ -568,6 +568,30 @@ TEST(SpeculationProperties, ThresholdScalesWithQuantile) {
   EXPECT_EQ(tracker.observations("t"), 4u);
 }
 
+TEST(SpeculationProperties, BaselineMatchesTheSortedQuantileAfterEverySample) {
+  // The tracker keeps a two-heap split instead of a sorted vector; its
+  // baseline must still be the sorted samples' element at
+  // min(n - 1, floor(q * n)), ties and out-of-order arrivals included.
+  for (const double q : {0.0, 0.3, 0.5, 0.9, 1.0}) {
+    rt::SpeculationPolicy policy;
+    policy.quantile = q;
+    policy.min_observations = 2;
+    rt::SpeculationTracker tracker(policy);
+    Rng rng(static_cast<std::uint64_t>(q * 100) + 5);
+    std::vector<double> sorted;
+    for (int i = 0; i < 300; ++i) {
+      const double seconds = rng.next_bool(0.2) ? 1.0 : rng.next_uniform(0.0, 10.0);
+      tracker.record("t", seconds);
+      sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), seconds), seconds);
+      if (sorted.size() < 2) continue;
+      const std::size_t index = std::min(
+          sorted.size() - 1, static_cast<std::size_t>(q * static_cast<double>(sorted.size())));
+      ASSERT_TRUE(tracker.baseline("t").has_value());
+      ASSERT_EQ(*tracker.baseline("t"), sorted[index]) << "q " << q << ", " << sorted.size();
+    }
+  }
+}
+
 TEST(SpeculationProperties, DuplicateNeverPlacedOnBlacklistedOrOriginalNode) {
   // 3 nodes x 1 cpu. The flaky task fails once on node 0 — with
   // same_node_retries=0 the failure blacklists that node — then straggles
@@ -968,6 +992,152 @@ TEST(GoldenSchedules, SimulatorSchedulesMatchThePinnedHash) {
   set_log_level(before);
   EXPECT_EQ(hash.value, 2555243950870406634ULL) << "simulated schedules changed";
 }
+
+// ---------------------------------------------------------------------
+// Invariant 15 (golden scheduler matrix): the programs above run only the
+// default priority scheduler with no quotas. These run every placement
+// policy (fifo, priority, locality, cost-aware) over several studies with
+// unequal fair-share weights, a max_running quota, pause/resume, priority
+// tasks, DAG dependencies (so readiness order differs from id order),
+// failures with backoff retries, cancellation, @implement variants and a
+// node kill on a cluster without a shared filesystem (lineage recovery,
+// i.e. the ready-queue walk's lineage gate). The hash uses the same trace
+// fields as the golden schedules; it pins how each policy consumes the
+// ready queues, so a change to the candidate order or membership shows.
+// ---------------------------------------------------------------------
+
+void run_scheduler_matrix_program(const std::string& scheduler, std::uint64_t seed,
+                                  ScheduleHash& hash) {
+  Rng rng(seed * 6151 + 29);
+  const std::size_t nodes = 3;
+  RuntimeOptions opts;
+  cluster::NodeSpec node;
+  node.cpus = static_cast<unsigned>(rng.next_int(2, 4));
+  opts.cluster = cluster::homogeneous(nodes, node);
+  opts.cluster.has_parallel_fs = rng.next_bool(0.5);
+  opts.scheduler = scheduler;
+  opts.simulate = true;
+  opts.seed = seed;
+  opts.fault_policy.max_attempts = 4;
+  opts.fault_policy.backoff_base_seconds = 0.5;
+  opts.injector = rt::FaultInjector(seed, 0.12);
+  Runtime runtime(std::move(opts));
+  std::vector<rt::StudySession> studies = {
+      runtime.main_study(),
+      runtime.open_study({.name = "heavy", .weight = 3.0}),
+      runtime.open_study({.name = "light", .weight = 0.5}),
+      runtime.open_study({.name = "capped", .weight = 1.0, .max_running = 2}),
+  };
+
+  const auto note = [&](std::uint64_t value) {
+    hash.add(value);
+    hash.add_time(runtime.now());
+  };
+  std::vector<Future> futures;
+  bool killed = false;
+  for (int round = 0; round < 7; ++round) {
+    const int wave = static_cast<int>(rng.next_int(5, 12));
+    for (int i = 0; i < wave; ++i) {
+      TaskDef def;
+      def.name = rng.next_bool(0.5) ? "short" : "long";
+      def.constraint = {.cpus = static_cast<unsigned>(rng.next_int(1, 2))};
+      def.priority = rng.next_bool(0.15);
+      def.body = [](TaskContext&) { return std::any(1); };
+      const double seconds = rng.next_uniform(0.5, 5.0);
+      def.cost = [seconds](const Placement& p, const cluster::NodeSpec&) {
+        return p.node == 0 ? 3.0 * seconds : seconds;
+      };
+      if (rng.next_bool(0.2)) {
+        rt::TaskVariant variant;
+        variant.label = "wide";
+        variant.constraint = {.cpus = def.constraint.cpus + 1};
+        variant.cost = [seconds](const Placement&, const cluster::NodeSpec&) {
+          return 0.4 * seconds;
+        };
+        def.variants.push_back(std::move(variant));
+      }
+      std::vector<rt::Param> params;
+      if (!futures.empty() && rng.next_bool(0.45)) {
+        const int k = static_cast<int>(rng.next_int(1, 2));
+        for (int j = 0; j < k; ++j)
+          params.push_back({futures[rng.next_index(futures.size())].data, Direction::In});
+      }
+      futures.push_back(studies[rng.next_index(studies.size())].submit(def, params));
+    }
+    for (int op = 0; op < 3; ++op) {
+      const Future pick = futures[rng.next_index(futures.size())];
+      try {
+        switch (rng.next_int(0, 6)) {
+          case 0:
+            note(runtime.wait_any_for(std::vector<Future>{pick}, rng.next_uniform(0.0, 3.0))
+                     .producer);
+            break;
+          case 1: note(runtime.wait_all_for(rng.next_uniform(0.0, 3.0)) ? 1 : 0); break;
+          case 2: {
+            rt::StudySession& study = studies[1 + rng.next_index(studies.size() - 1)];
+            study.paused() ? study.resume() : study.pause();
+            note(study.id());
+            break;
+          }
+          case 3: note(runtime.cancel(pick) ? 1 : 0); break;
+          case 4:
+            if (killed) {
+              runtime.revive_node(nodes - 1);
+            } else {
+              runtime.kill_node(nodes - 1);
+            }
+            killed = !killed;
+            note(killed ? 1 : 0);
+            break;
+          case 5: note(studies[3].progress().terminal()); break;
+          default:
+            runtime.wait_on(pick);
+            note(pick.producer);
+            break;
+        }
+      } catch (const rt::TaskFailedError& e) {
+        note(e.task() + 1000000);
+      } catch (const std::runtime_error&) {
+        note(2000000);
+      }
+    }
+  }
+  for (rt::StudySession& study : studies)
+    if (study.paused()) study.resume();
+  if (killed) runtime.revive_node(nodes - 1);
+  // A task submitted against a producer that was cancelled mid-attempt is
+  // never doomed when that attempt lands, so some programs end with work
+  // stranded in WaitingDeps; the barrier's answer is part of the hash.
+  try {
+    runtime.barrier();
+    note(runtime.task_count());
+  } catch (const std::runtime_error&) {
+    note(2000000);
+  }
+  for (const trace::Event& e : runtime.trace().events()) {
+    hash.add(static_cast<std::uint64_t>(e.kind));
+    hash.add(e.task_id);
+    hash.add(e.study);
+    hash.add(static_cast<std::uint64_t>(e.attempt));
+    hash.add(static_cast<std::uint64_t>(e.node));
+    hash.add(e.cores.size());
+    for (const unsigned core : e.cores) hash.add(core);
+    hash.add_time(e.t_start);
+    hash.add_time(e.t_end);
+  }
+}
+
+TEST(GoldenSchedules, SchedulerMatrixMatchesThePinnedHash) {
+  const LogLevel before = log_level();
+  set_log_level(LogLevel::Error);  // the programs fail, cancel and kill by design
+  ScheduleHash hash;
+  for (const std::string scheduler : {"fifo", "priority", "locality", "cost-aware"})
+    for (std::uint64_t seed = 0; seed < 16; ++seed)
+      run_scheduler_matrix_program(scheduler, seed, hash);
+  set_log_level(before);
+  EXPECT_EQ(hash.value, 10255869931567940191ULL) << "simulated schedules changed";
+}
+
 
 }  // namespace
 }  // namespace chpo

@@ -1,10 +1,33 @@
 // Unit tests for the scheduling policies.
 #include <gtest/gtest.h>
 
+#include "runtime/engine.hpp"
 #include "runtime/scheduler.hpp"
+#include "runtime/sim_backend.hpp"
 
 namespace chpo::rt {
 namespace {
+
+/// Candidates in the order given, for both policies. The placement tests
+/// that use it hand over one task, or tasks whose readiness and rank
+/// orders agree; the order itself is the engine's, tested through Engine
+/// (EngineOrder below). Its demand bound is zero, so it never ends a
+/// round early.
+class ListSource final : public CandidateSource {
+ public:
+  explicit ListSource(std::vector<TaskId> ids) : ids_(std::move(ids)) {}
+  std::optional<TaskId> next_by_readiness() override { return next(); }
+  std::optional<TaskId> next_by_priority() override { return next(); }
+  Constraint smallest_demand() const override { return Constraint{.cpus = 0}; }
+
+ private:
+  std::optional<TaskId> next() {
+    if (next_ >= ids_.size()) return std::nullopt;
+    return ids_[next_++];
+  }
+  std::vector<TaskId> ids_;
+  std::size_t next_ = 0;
+};
 
 struct SchedulerFixture : ::testing::Test {
   SchedulerFixture() : graph(registry) {}
@@ -17,30 +40,73 @@ struct SchedulerFixture : ::testing::Test {
     return graph.add_task(def, {});
   }
 
+  std::vector<Dispatch> schedule(Scheduler& sched, std::vector<TaskId> ready, ResourceState& rs) {
+    ListSource source(std::move(ready));
+    return sched.schedule(source, graph, rs);
+  }
+
   DataRegistry registry;
   TaskGraph graph;
 };
 
-TEST_F(SchedulerFixture, FifoPlacesInSubmissionOrder) {
-  ResourceState rs(cluster::marenostrum4(1));
-  std::vector<TaskId> ready{add({.cpus = 24}), add({.cpus = 24}), add({.cpus = 24})};
-  FifoScheduler fifo;
-  const auto dispatches = fifo.schedule(ready, graph, rs);
-  ASSERT_EQ(dispatches.size(), 2u);  // third doesn't fit
-  EXPECT_EQ(dispatches[0].task, ready[0]);
-  EXPECT_EQ(dispatches[1].task, ready[1]);
+/// One task of engine_round: a 24-core task of `study`.
+struct Queued {
+  StudyId study = kMainStudy;
+  bool priority = false;
+};
+
+/// The tasks an Engine running the named policy places in its first
+/// scheduling round on one 48-core MareNostrum 4 node, as indices into
+/// `tasks` (submitted in that order), which become ready in the order
+/// `ready` lists them: the candidate order production hands its
+/// scheduler.
+std::vector<std::size_t> engine_round(const std::string& scheduler,
+                                      const std::vector<Queued>& tasks,
+                                      const std::vector<std::size_t>& ready) {
+  DataRegistry registry;
+  TaskGraph graph(registry);
+  trace::TraceSink sink(/*enabled=*/false);
+  Engine engine(graph, cluster::marenostrum4(1), EngineOptions{.scheduler = scheduler},
+                FaultInjector{}, sink);
+  EngineContextScope ctx(g_engine_ctx);
+  std::vector<TaskId> ids;
+  for (const Queued& task : tasks) {
+    TaskDef def;
+    def.name = "t";
+    def.constraint = {.cpus = 24};
+    def.priority = task.priority;
+    ids.push_back(graph.add_task(def, {}, task.study));
+  }
+  std::vector<TaskId> wave;
+  for (const std::size_t index : ready) wave.push_back(ids[index]);
+  engine.on_submitted_batch(wave, 0.0);
+  std::vector<std::size_t> placed;
+  for (const Dispatch& d : engine.schedule(0.0))
+    placed.push_back(static_cast<std::size_t>(
+        std::find(ids.begin(), ids.end(), d.task) - ids.begin()));
+  return placed;
 }
 
-TEST_F(SchedulerFixture, PrioritySchedulerJumpsQueue) {
-  ResourceState rs(cluster::marenostrum4(1));
-  const TaskId normal1 = add({.cpus = 24});
-  const TaskId normal2 = add({.cpus = 24});
-  const TaskId urgent = add({.cpus = 24}, /*priority=*/true);
-  PriorityScheduler sched;
-  const auto dispatches = sched.schedule({normal1, normal2, urgent}, graph, rs);
-  ASSERT_EQ(dispatches.size(), 2u);
-  EXPECT_EQ(dispatches[0].task, urgent);  // priority first
-  EXPECT_EQ(dispatches[1].task, normal1);
+TEST(EngineOrder, FifoPlacesInSubmissionOrder) {
+  // Third doesn't fit.
+  EXPECT_EQ(engine_round("fifo", {{}, {}, {}}, {0, 1, 2}), (std::vector<std::size_t>{0, 1}));
+}
+
+TEST(EngineOrder, PrioritySchedulerJumpsQueue) {
+  for (const char* scheduler : {"priority", "locality", "cost-aware"})
+    EXPECT_EQ(engine_round(scheduler, {{}, {}, {.priority = true}}, {0, 1, 2}),
+              (std::vector<std::size_t>{2, 0}))  // priority first
+        << scheduler;
+}
+
+TEST(EngineOrder, MergesStudies) {
+  // Two studies' ready queues (study 0: tasks 0 and 2; study 1: tasks 1
+  // and 3, task 3 a priority one), task 2 ready before task 0. The ranked
+  // policies merge them by (priority, id); Fifo interleaves the readiness
+  // orders by fair share, lowest study first on a tie.
+  const std::vector<Queued> tasks{{.study = 0}, {.study = 1}, {.study = 0}, {1, true}};
+  EXPECT_EQ(engine_round("priority", tasks, {2, 0, 1, 3}), (std::vector<std::size_t>{3, 0}));
+  EXPECT_EQ(engine_round("fifo", tasks, {2, 0, 1, 3}), (std::vector<std::size_t>{2, 1}));
 }
 
 TEST_F(SchedulerFixture, FillsMultipleNodes) {
@@ -48,7 +114,7 @@ TEST_F(SchedulerFixture, FillsMultipleNodes) {
   std::vector<TaskId> ready;
   for (int i = 0; i < 3; ++i) ready.push_back(add({.cpus = 48}));
   PriorityScheduler sched;
-  const auto dispatches = sched.schedule(ready, graph, rs);
+  const auto dispatches = schedule(sched, ready, rs);
   ASSERT_EQ(dispatches.size(), 3u);
   // One node-filling task each.
   std::vector<int> nodes;
@@ -62,7 +128,7 @@ TEST_F(SchedulerFixture, RespectsExcludedNodes) {
   const TaskId t = add({.cpus = 1});
   graph.task(t).excluded_nodes.push_back(0);
   PriorityScheduler sched;
-  const auto dispatches = sched.schedule({t}, graph, rs);
+  const auto dispatches = schedule(sched, {t}, rs);
   ASSERT_EQ(dispatches.size(), 1u);
   EXPECT_EQ(dispatches[0].placement.node, 1);
 }
@@ -72,7 +138,7 @@ TEST_F(SchedulerFixture, AllNodesExcludedMeansNoPlacement) {
   const TaskId t = add({.cpus = 1});
   graph.task(t).excluded_nodes.push_back(0);
   PriorityScheduler sched;
-  EXPECT_TRUE(sched.schedule({t}, graph, rs).empty());
+  EXPECT_TRUE(schedule(sched, {t}, rs).empty());
 }
 
 TEST_F(SchedulerFixture, LocalitySchedulerPrefersDataHolder) {
@@ -95,7 +161,7 @@ TEST_F(SchedulerFixture, LocalitySchedulerPrefersDataHolder) {
   graph.task(t).deps_remaining = 0;
 
   LocalityScheduler sched;
-  const auto dispatches = sched.schedule({t}, graph, rs);
+  const auto dispatches = schedule(sched, {t}, rs);
   ASSERT_EQ(dispatches.size(), 1u);
   EXPECT_EQ(dispatches[0].placement.node, 2);
 }
@@ -104,7 +170,7 @@ TEST_F(SchedulerFixture, LocalityFallsBackToFirstFit) {
   ResourceState rs(cluster::marenostrum4(2));
   const TaskId t = add({.cpus = 1});  // no inputs at all
   LocalityScheduler sched;
-  const auto dispatches = sched.schedule({t}, graph, rs);
+  const auto dispatches = schedule(sched, {t}, rs);
   ASSERT_EQ(dispatches.size(), 1u);
   EXPECT_EQ(dispatches[0].placement.node, 0);
 }
@@ -145,7 +211,7 @@ TEST_F(SchedulerFixture, CostAwarePicksFastestNode) {
   def.cost = [](const Placement&, const cluster::NodeSpec& node) { return 100.0 / node.core_rate; };
   const TaskId t = graph.add_task(def, {});
   CostAwareScheduler sched;
-  const auto dispatches = sched.schedule({t}, graph, rs);
+  const auto dispatches = schedule(sched, {t}, rs);
   ASSERT_EQ(dispatches.size(), 1u);
   EXPECT_EQ(dispatches[0].placement.node, 1);  // first-fit would pick node 0
 }
@@ -176,10 +242,10 @@ TEST_F(SchedulerFixture, CostAwareDefersSlowFallbackWhileFastIsBusy) {
 
   CostAwareScheduler sched;
   // GPU busy, CPU fallback 10x worse than best possible: defer.
-  EXPECT_TRUE(sched.schedule({t}, graph, rs).empty());
+  EXPECT_TRUE(schedule(sched, {t}, rs).empty());
   // Once the GPU frees, the primary implementation is taken.
   rs.release(*held);
-  const auto dispatches = sched.schedule({t}, graph, rs);
+  const auto dispatches = schedule(sched, {t}, rs);
   ASSERT_EQ(dispatches.size(), 1u);
   EXPECT_EQ(dispatches[0].variant, -1);
   EXPECT_EQ(dispatches[0].placement.gpus.size(), 1u);
@@ -207,7 +273,7 @@ TEST_F(SchedulerFixture, CostAwareSpillsWhenFallbackIsCompetitive) {
   def.variants.push_back(std::move(cpu));
   const TaskId t = graph.add_task(def, {});
   CostAwareScheduler sched;
-  const auto dispatches = sched.schedule({t}, graph, rs);
+  const auto dispatches = schedule(sched, {t}, rs);
   ASSERT_EQ(dispatches.size(), 1u);
   EXPECT_EQ(dispatches[0].variant, 0);  // took the CPU fallback
   rs.release(*held);
@@ -218,7 +284,7 @@ TEST_F(SchedulerFixture, CostAwareWithoutCostModelsActsLikeFirstFit) {
   const TaskId a = add({.cpus = 1});
   const TaskId b = add({.cpus = 1});
   CostAwareScheduler sched;
-  const auto dispatches = sched.schedule({a, b}, graph, rs);
+  const auto dispatches = schedule(sched, {a, b}, rs);
   ASSERT_EQ(dispatches.size(), 2u);
   EXPECT_EQ(dispatches[0].placement.node, 0);
   EXPECT_EQ(dispatches[1].placement.node, 0);
@@ -233,8 +299,68 @@ TEST_F(SchedulerFixture, GridOf27OnHalfNodeStarts24) {
   std::vector<TaskId> ready;
   for (int i = 0; i < 27; ++i) ready.push_back(add({.cpus = 1}));
   PriorityScheduler sched;
-  const auto dispatches = sched.schedule(ready, graph, rs);
+  const auto dispatches = schedule(sched, ready, rs);
   EXPECT_EQ(dispatches.size(), 24u);
+}
+
+// ---------------------------------------------------------------------------
+// Round cost: a scheduling round reads the ready queues only as far as its
+// placements need, so the entries examined per placed task stay flat as
+// the queue grows. A round that walked every queued entry would examine
+// O(N / slots) entries per task.
+// ---------------------------------------------------------------------------
+
+/// A storm's task and node sizes.
+struct StormShape {
+  unsigned node_cpus = 4;
+  unsigned task_cpus = 1;
+};
+
+/// Ready entries Engine::schedule examined per task for a simulated storm
+/// of `tasks` no-op tasks over `studies` studies (one wave each, as
+/// bench_engine_throughput submits them) on 2 nodes. With four studies
+/// the last one runs under a max_running quota.
+double visits_per_task(const std::string& scheduler, StormShape shape, int studies, int tasks) {
+  DataRegistry registry;
+  TaskGraph graph(registry);
+  trace::TraceSink sink(/*enabled=*/false);
+  cluster::NodeSpec node;
+  node.cpus = shape.node_cpus;
+  Engine engine(graph, cluster::homogeneous(2, node), EngineOptions{.scheduler = scheduler},
+                FaultInjector{}, sink);
+  SimBackend backend(engine);
+  EngineContextScope ctx(g_engine_ctx);
+  if (studies > 1)
+    engine.set_study_policy(static_cast<StudyId>(studies - 1), StudyPolicy{.max_running = 3});
+  TaskDef def;
+  def.name = "tiny";
+  def.constraint = {.cpus = shape.task_cpus};
+  for (int s = 0; s < studies; ++s) {
+    std::vector<TaskId> wave;
+    for (int i = s; i < tasks; i += studies)
+      wave.push_back(graph.add_task(def, {}, static_cast<StudyId>(s)));
+    engine.on_submitted_batch(wave, backend.now());
+  }
+  backend.drive([&] { return engine.quiescent(); });
+  EXPECT_EQ(graph.tasks_in_state(TaskState::Done).size(), static_cast<std::size_t>(tasks));
+  return static_cast<double>(engine.ready_visits()) / tasks;
+}
+
+TEST(ReadyQueue, RoundCostIsIndependentOfQueueLength) {
+  // 1-core tasks fill the nodes exactly. 2-core tasks on 3-core nodes
+  // leave one core free on each: every candidate still queued could use
+  // it were it smaller, so only the demand bound stops the round.
+  for (const StormShape shape : {StormShape{4, 1}, StormShape{3, 2}})
+    for (const std::string scheduler : {"fifo", "priority", "cost-aware"})
+      for (const int studies : {1, 4}) {
+        const double small = visits_per_task(scheduler, shape, studies, 2000);
+        const double large = visits_per_task(scheduler, shape, studies, 32000);
+        EXPECT_GT(small, 0.0);
+        EXPECT_LE(large, 2.0 * small)
+            << scheduler << ", " << studies << " studies, " << shape.task_cpus << "-core tasks on "
+            << shape.node_cpus << "-core nodes: " << small << " entries per task at 2k tasks, "
+            << large << " at 32k";
+      }
 }
 
 }  // namespace

@@ -1,13 +1,21 @@
 #!/usr/bin/env python3
 """Perf-regression gate over BENCH_engine.json.
 
-Compares a fresh bench_engine_throughput run against the latest committed
-baseline row with the same (backend, studies, tasks, host_threads) key and
-fails when tasks/s drops more than the threshold below it. A row measured
-on a host with a different thread count is not a baseline: a key with no
-committed row is accepted and, with --append, becomes the first one. On a pass, --append folds the new
-rows (with their commit/date/host_threads provenance) into the committed
-file so the baseline history keeps growing.
+Two checks on a fresh bench_engine_throughput run:
+
+* Baseline: each row against the latest committed row with the same
+  (backend, studies, tasks, host_threads) key; fails when tasks/s drops
+  more than --max-drop below it. A row measured on a host with a different
+  thread count is not a baseline: a key with no committed row is accepted
+  and, with --append, becomes the first one.
+* Size sweep: within the fresh run, for each (backend, studies,
+  host_threads) swept over several sizes, fails when the largest size's
+  tasks/s falls below MIN_SCALING (half) the smallest size's. A
+  scheduling round whose cost grows with the ready queue (an O(ready)
+  walk) makes tasks/s fall with N and trips this.
+
+On a pass, --append folds the new rows (with their commit/date/host_threads
+provenance) into the committed file so the baseline history keeps growing.
 
 Usage:
   bench_engine_throughput --json /tmp/bench_new.json
@@ -20,6 +28,11 @@ Exit status: 0 = within budget, 1 = regression, 2 = usage/schema error.
 import argparse
 import json
 import sys
+
+# Least tasks/s the largest swept size may reach, as a fraction of the
+# smallest size's: an O(ready) round at 64k tasks reads about 1/16 of its
+# 4k rate, a round that costs what it places about 1.
+MIN_SCALING = 0.5
 
 
 def load_rows(path):
@@ -48,6 +61,30 @@ def latest_per_config(rows):
     for row in rows:
         latest[config_key(row)] = row
     return latest
+
+
+def scaling_failures(rows):
+    """Largest-vs-smallest size tasks/s per (backend, studies, host_threads)."""
+    sweeps = {}
+    for row in rows:
+        key = (row.get("backend"), row.get("studies"), row.get("host_threads"))
+        sweeps.setdefault(key, []).append(row)
+    failed = False
+    for key, sweep in sweeps.items():
+        if len({row["tasks"] for row in sweep}) < 2:
+            continue
+        small = min(sweep, key=lambda row: row["tasks"])
+        large = max(sweep, key=lambda row: row["tasks"])
+        ratio = float(large["tasks_per_second"]) / float(small["tasks_per_second"])
+        verdict = "OK"
+        if ratio < MIN_SCALING:
+            verdict = f"SCALING REGRESSION (<{MIN_SCALING:.2f}x)"
+            failed = True
+        print("  {}/{} studies/{} host threads: {} tasks {:.1f} -> {} tasks {:.1f} tasks/s "
+              "({:.2f}x) {}".format(*key, small["tasks"], float(small["tasks_per_second"]),
+                                     large["tasks"], float(large["tasks_per_second"]),
+                                     ratio, verdict))
+    return failed
 
 
 def main():
@@ -90,9 +127,14 @@ def main():
         print(f"  {label}: {old:.1f} -> {new:.1f} tasks/s "
               f"({change:+.1%}) {verdict}")
 
+    scaling_failed = scaling_failures(new_rows)
     if failed:
         print(f"bench_gate: FAIL — tasks/s dropped more than {args.max_drop:.0%} "
               "below the committed baseline", file=sys.stderr)
+    if scaling_failed:
+        print(f"bench_gate: FAIL — tasks/s at the largest size fell below "
+              f"{MIN_SCALING:.2f}x the smallest size's", file=sys.stderr)
+    if failed or scaling_failed:
         return 1
 
     if args.append:

@@ -537,8 +537,9 @@ void rule_lock_rank_order(const std::vector<SourceFile>& files,
 // Rule: hot-path-std-function
 // ---------------------------------------------------------------------------
 
-/// Methods on the per-dispatch hot path: every admission, scheduling round,
-/// attempt registration and completion crosses these, so a std::function
+/// Methods on the per-dispatch hot path: every admission, scheduling round
+/// (including the candidate source the scheduler pulls from), attempt
+/// registration and completion crosses these, so a std::function
 /// there means a type-erasing heap allocation (and an indirect call the
 /// optimiser cannot devirtualise) per task. On the backends that is the
 /// per-dispatch launch and the per-completion collect (plus the thread
@@ -546,10 +547,12 @@ void rule_lock_rank_order(const std::vector<SourceFile>& files,
 /// once per wait, not once per task — and stays off this list.
 bool hot_path_method(const std::string& qualifier, const std::string& name) {
   if (qualifier == "Engine") {
-    static const char* kHot[] = {"on_submitted",    "on_submitted_batch", "make_ready",
-                                 "push_ready",      "remove_from_ready",  "schedule",
-                                 "apply_study_policy", "register_attempt", "prepare_body",
-                                 "complete_attempt", "conclude_attempt"};
+    static const char* kHot[] = {"on_submitted",      "on_submitted_batch", "make_ready",
+                                 "push_ready",        "remove_from_ready",  "count_demand",
+                                 "schedule",          "open_round",         "next_by_readiness",
+                                 "next_by_priority",  "smallest_demand",    "walk_fifo",
+                                 "ranked_head",       "close_round",        "register_attempt",
+                                 "prepare_body",      "complete_attempt",   "conclude_attempt"};
     for (const char* method : kHot)
       if (name == method) return true;
     return false;
