@@ -211,6 +211,10 @@ int main(int argc, char** argv) {
   constexpr int kReps = 5;
   run_storm(false, 1, 400);  // warm-up: thread pool + allocators
   run_storm(true, 1, 400);
+  // One untimed storm at the largest size: the first storm that large in a
+  // process otherwise pays for faulting in its memory, and a 1M-task row
+  // read up to 2-3x slower in that position than in any later one.
+  run_storm(false, 1, *std::max_element(sizes.begin(), sizes.end()));
 
   const std::string commit = current_commit();
   const std::string date = current_date();

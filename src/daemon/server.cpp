@@ -287,36 +287,44 @@ json::Value Server::op_submit(const json::Value& request) {
 }
 
 json::Value Server::status_json(rt::StudyId id) const {
+  // Built with exact sizes: `list` holds one of these per study ever run.
   const service::StudyStatus status = manager_.status(id);
-  json::Value row;
-  row.set("study", json::Value(static_cast<std::int64_t>(id)));
-  row.set("name", json::Value(status.name));
+  const bool closed = terminal(status.state);
+  json::Object row;
+  row.reserve(7 + (closed ? 1 + (status.best_accuracy ? 1 : 0) : 0));
+  const auto count = [](std::size_t n) { return json::Value(static_cast<std::int64_t>(n)); };
+  row.emplace_back("study", json::Value(static_cast<std::int64_t>(id)));
+  row.emplace_back("name", json::Value(status.name));
   const auto info = studies_.find(id);
-  row.set("tenant", json::Value(info != studies_.end() ? info->second.tenant : std::string()));
-  row.set("algorithm", json::Value(status.algorithm));
-  row.set("state", json::Value(service::study_state_name(status.state)));
-  row.set("trials_done", json::Value(static_cast<std::int64_t>(status.trials_done)));
+  row.emplace_back("tenant",
+                   json::Value(info != studies_.end() ? info->second.tenant : std::string()));
+  row.emplace_back("algorithm", json::Value(status.algorithm));
+  row.emplace_back("state", json::Value(service::study_state_name(status.state)));
+  row.emplace_back("trials_done", count(status.trials_done));
   const rt::StudyProgress progress = manager_.progress(id);
-  json::Value tasks;
-  tasks.set("total", json::Value(static_cast<std::int64_t>(progress.total)));
-  tasks.set("waiting", json::Value(static_cast<std::int64_t>(progress.waiting)));
-  tasks.set("ready", json::Value(static_cast<std::int64_t>(progress.ready)));
-  tasks.set("running", json::Value(static_cast<std::int64_t>(progress.running)));
-  tasks.set("done", json::Value(static_cast<std::int64_t>(progress.done)));
-  tasks.set("failed", json::Value(static_cast<std::int64_t>(progress.failed)));
-  tasks.set("cancelled", json::Value(static_cast<std::int64_t>(progress.cancelled)));
-  row.set("tasks", tasks);
-  if (terminal(status.state)) {
-    if (status.best_accuracy) row.set("best_accuracy", json::Value(*status.best_accuracy));
-    row.set("elapsed_seconds", json::Value(status.elapsed_seconds));
+  json::Object tasks;
+  tasks.reserve(7);
+  tasks.emplace_back("total", count(progress.total));
+  tasks.emplace_back("waiting", count(progress.waiting));
+  tasks.emplace_back("ready", count(progress.ready));
+  tasks.emplace_back("running", count(progress.running));
+  tasks.emplace_back("done", count(progress.done));
+  tasks.emplace_back("failed", count(progress.failed));
+  tasks.emplace_back("cancelled", count(progress.cancelled));
+  row.emplace_back("tasks", json::Value(std::move(tasks)));
+  if (closed) {
+    if (status.best_accuracy) row.emplace_back("best_accuracy", json::Value(*status.best_accuracy));
+    row.emplace_back("elapsed_seconds", json::Value(status.elapsed_seconds));
   }
-  return row;
+  return json::Value(std::move(row));
 }
 
 json::Value Server::op_list(const json::Value& request) const {
   json::Value reply = make_reply(request, true);
   json::Array rows;
-  for (const rt::StudyId id : manager_.studies()) rows.push_back(status_json(id));
+  const std::vector<rt::StudyId> ids = manager_.studies();
+  rows.reserve(ids.size());
+  for (const rt::StudyId id : ids) rows.push_back(status_json(id));
   reply.set("studies", json::Value(std::move(rows)));
   return reply;
 }

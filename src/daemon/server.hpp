@@ -70,7 +70,13 @@ struct Outbound {
 };
 
 struct ServerOptions {
-  service::ManagerOptions manager;
+  /// The runtime trace is off unless asked for (chpo_serve --trace): the
+  /// daemon never reads it, and it grows with every study served.
+  service::ManagerOptions manager = [] {
+    service::ManagerOptions untraced;
+    untraced.runtime.tracing = false;
+    return untraced;
+  }();
   /// Defaults a submitted spec starts from (host-configured driver knobs).
   service::StudySpecDefaults defaults;
   /// Per-study checkpoint files, the write-ahead journal and the manifest

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 namespace chpo::json {
@@ -19,44 +20,44 @@ namespace {
 }  // namespace
 
 bool Value::as_bool() const {
-  if (type_ != Type::Bool) type_error("bool", type_);
-  return bool_;
+  if (!is_bool()) type_error("bool", type());
+  return std::get<bool>(v_);
 }
 
 std::int64_t Value::as_int() const {
-  if (type_ != Type::Int) type_error("int", type_);
-  return int_;
+  if (!is_int()) type_error("int", type());
+  return std::get<std::int64_t>(v_);
 }
 
 double Value::as_double() const {
-  if (type_ == Type::Int) return static_cast<double>(int_);
-  if (type_ != Type::Double) type_error("number", type_);
-  return double_;
+  if (is_int()) return static_cast<double>(std::get<std::int64_t>(v_));
+  if (!is_double()) type_error("number", type());
+  return std::get<double>(v_);
 }
 
 const std::string& Value::as_string() const {
-  if (type_ != Type::String) type_error("string", type_);
-  return string_;
+  if (!is_string()) type_error("string", type());
+  return std::get<std::string>(v_);
 }
 
 const Array& Value::as_array() const {
-  if (type_ != Type::Array) type_error("array", type_);
-  return array_;
+  if (!is_array()) type_error("array", type());
+  return std::get<Array>(v_);
 }
 
 Array& Value::as_array() {
-  if (type_ != Type::Array) type_error("array", type_);
-  return array_;
+  if (!is_array()) type_error("array", type());
+  return std::get<Array>(v_);
 }
 
 const Object& Value::as_object() const {
-  if (type_ != Type::Object) type_error("object", type_);
-  return object_;
+  if (!is_object()) type_error("object", type());
+  return std::get<Object>(v_);
 }
 
 Object& Value::as_object() {
-  if (type_ != Type::Object) type_error("object", type_);
-  return object_;
+  if (!is_object()) type_error("object", type());
+  return std::get<Object>(v_);
 }
 
 const Value& Value::at(std::string_view key) const {
@@ -66,55 +67,44 @@ const Value& Value::at(std::string_view key) const {
 }
 
 const Value* Value::find(std::string_view key) const {
-  if (type_ != Type::Object) return nullptr;
-  for (const auto& [k, v] : object_)
+  if (!is_object()) return nullptr;
+  for (const auto& [k, v] : std::get<Object>(v_))
     if (k == key) return &v;
   return nullptr;
 }
 
 void Value::set(std::string key, Value v) {
-  if (type_ == Type::Null) type_ = Type::Object;
-  if (type_ != Type::Object) type_error("object", type_);
-  for (auto& [k, existing] : object_) {
+  if (is_null()) v_ = Object{};
+  Object& object = as_object();
+  for (auto& [k, existing] : object) {
     if (k == key) {
       existing = std::move(v);
       return;
     }
   }
-  object_.emplace_back(std::move(key), std::move(v));
+  object.emplace_back(std::move(key), std::move(v));
 }
 
 const Value& Value::at(std::size_t index) const {
-  if (type_ != Type::Array) type_error("array", type_);
-  if (index >= array_.size()) throw JsonError("json: index out of range");
-  return array_[index];
+  const Array& array = as_array();
+  if (index >= array.size()) throw JsonError("json: index out of range");
+  return array[index];
 }
 
 std::size_t Value::size() const {
-  switch (type_) {
-    case Type::Array: return array_.size();
-    case Type::Object: return object_.size();
-    case Type::String: return string_.size();
+  switch (type()) {
+    case Type::Array: return std::get<Array>(v_).size();
+    case Type::Object: return std::get<Object>(v_).size();
+    case Type::String: return std::get<std::string>(v_).size();
     default: return 0;
   }
 }
 
 bool Value::operator==(const Value& other) const {
-  if (type_ != other.type_) {
-    // Allow 3 == 3.0 comparisons across Int/Double.
-    if (is_number() && other.is_number()) return as_double() == other.as_double();
-    return false;
-  }
-  switch (type_) {
-    case Type::Null: return true;
-    case Type::Bool: return bool_ == other.bool_;
-    case Type::Int: return int_ == other.int_;
-    case Type::Double: return double_ == other.double_;
-    case Type::String: return string_ == other.string_;
-    case Type::Array: return array_ == other.array_;
-    case Type::Object: return object_ == other.object_;
-  }
-  return false;
+  // Allow 3 == 3.0 comparisons across Int/Double.
+  if (type() != other.type() && is_number() && other.is_number())
+    return as_double() == other.as_double();
+  return v_ == other.v_;
 }
 
 namespace {
@@ -201,21 +191,34 @@ class Parser {
     }
   }
 
+  // Members and elements collect on one stack per parse and move into an
+  // exactly sized container when their object or array closes: a `list`
+  // reply holds thousands of small objects, and push_back growth would
+  // leave each with up to twice the slots it needs.
+  template <typename T>
+  static T take_from(std::vector<typename T::value_type>& stack, std::size_t base) {
+    T out(std::make_move_iterator(stack.begin() + static_cast<std::ptrdiff_t>(base)),
+          std::make_move_iterator(stack.end()));
+    stack.erase(stack.begin() + static_cast<std::ptrdiff_t>(base), stack.end());
+    return out;
+  }
+
   Value parse_object() {
     expect('{');
-    Object obj;
     skip_whitespace();
     if (peek() == '}') {
       take();
-      return Value(std::move(obj));
+      return Value(Object{});
     }
+    const std::size_t base = members_.size();
     for (;;) {
       skip_whitespace();
       if (peek() != '"') fail("expected string key");
       std::string key = parse_string();
       skip_whitespace();
       expect(':');
-      obj.emplace_back(std::move(key), parse_value());
+      Value value = parse_value();
+      members_.emplace_back(std::move(key), std::move(value));
       skip_whitespace();
       const char next = take();
       if (next == '}') break;
@@ -224,19 +227,20 @@ class Parser {
         fail("expected ',' or '}' in object");
       }
     }
-    return Value(std::move(obj));
+    return Value(take_from<Object>(members_, base));
   }
 
   Value parse_array() {
     expect('[');
-    Array arr;
     skip_whitespace();
     if (peek() == ']') {
       take();
-      return Value(std::move(arr));
+      return Value(Array{});
     }
+    const std::size_t base = elements_.size();
     for (;;) {
-      arr.push_back(parse_value());
+      Value value = parse_value();
+      elements_.push_back(std::move(value));
       skip_whitespace();
       const char next = take();
       if (next == ']') break;
@@ -245,7 +249,7 @@ class Parser {
         fail("expected ',' or ']' in array");
       }
     }
-    return Value(std::move(arr));
+    return Value(take_from<Array>(elements_, base));
   }
 
   std::string parse_string() {
@@ -352,6 +356,8 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  Object members_;  ///< members of the objects still open, innermost last
+  Array elements_;  ///< elements of the arrays still open, innermost last
 };
 
 void escape_string(const std::string& s, std::string& out) {

@@ -14,6 +14,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace chpo::json {
@@ -32,28 +33,31 @@ class JsonError : public std::runtime_error {
   explicit JsonError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// A tagged union: one node holds exactly one alternative, so a tree costs
+/// what its content needs (see the static_assert below). The alternative
+/// index is the Type.
 class Value {
  public:
-  Value() : type_(Type::Null) {}
-  Value(std::nullptr_t) : type_(Type::Null) {}
-  Value(bool b) : type_(Type::Bool), bool_(b) {}
-  Value(int i) : type_(Type::Int), int_(i) {}
-  Value(std::int64_t i) : type_(Type::Int), int_(i) {}
-  Value(double d) : type_(Type::Double), double_(d) {}
-  Value(const char* s) : type_(Type::String), string_(s) {}
-  Value(std::string s) : type_(Type::String), string_(std::move(s)) {}
-  Value(Array a) : type_(Type::Array), array_(std::move(a)) {}
-  Value(Object o) : type_(Type::Object), object_(std::move(o)) {}
+  Value() = default;
+  Value(std::nullptr_t) {}
+  Value(bool b) : v_(b) {}
+  Value(int i) : v_(std::int64_t{i}) {}
+  Value(std::int64_t i) : v_(i) {}
+  Value(double d) : v_(d) {}
+  Value(const char* s) : v_(std::string(s)) {}
+  Value(std::string s) : v_(std::move(s)) {}
+  Value(Array a) : v_(std::move(a)) {}
+  Value(Object o) : v_(std::move(o)) {}
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::Null; }
-  bool is_bool() const { return type_ == Type::Bool; }
-  bool is_int() const { return type_ == Type::Int; }
-  bool is_double() const { return type_ == Type::Double; }
+  Type type() const { return static_cast<Type>(v_.index()); }
+  bool is_null() const { return type() == Type::Null; }
+  bool is_bool() const { return type() == Type::Bool; }
+  bool is_int() const { return type() == Type::Int; }
+  bool is_double() const { return type() == Type::Double; }
   bool is_number() const { return is_int() || is_double(); }
-  bool is_string() const { return type_ == Type::String; }
-  bool is_array() const { return type_ == Type::Array; }
-  bool is_object() const { return type_ == Type::Object; }
+  bool is_string() const { return type() == Type::String; }
+  bool is_array() const { return type() == Type::Array; }
+  bool is_object() const { return type() == Type::Object; }
 
   /// Checked accessors; throw JsonError on type mismatch.
   bool as_bool() const;
@@ -83,14 +87,12 @@ class Value {
   bool operator==(const Value& other) const;
 
  private:
-  Type type_;
-  bool bool_ = false;
-  std::int64_t int_ = 0;
-  double double_ = 0.0;
-  std::string string_;
-  Array array_;
-  Object object_;
+  // Alternatives in Type order.
+  std::variant<std::monostate, bool, std::int64_t, double, std::string, Array, Object> v_;
 };
+
+// Every list row, journal record and reply is a tree of these nodes.
+static_assert(sizeof(Value) <= 48, "json::Value must stay a compact tagged union");
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 Value parse(std::string_view text);

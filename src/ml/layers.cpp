@@ -19,36 +19,38 @@ Dense::Dense(std::size_t in, std::size_t out, Rng& rng)
       db_(Tensor::zeros({out})) {}
 
 Tensor Dense::forward(const Tensor& x, bool /*training*/, unsigned threads) {
-  x_cache_ = x;
+  x_ = &x;
   Tensor y;
   matmul(x, w_, y, threads);
   add_row_bias(y, b_);
   return y;
 }
 
-Tensor Dense::backward(const Tensor& dy, unsigned threads) {
+Tensor Dense::backward(const Tensor& dy, unsigned threads, bool need_input_grad) {
+  if (x_ == nullptr) throw std::logic_error("Dense: backward without a forward");
   // dW = x^T dy ; db = colsum(dy) ; dx = dy W^T
-  matmul_at(x_cache_, dy, dw_, threads);
+  matmul_at(*x_, dy, dw_, threads);
   db_.fill(0.0f);
   for (std::size_t r = 0; r < dy.dim(0); ++r)
     for (std::size_t j = 0; j < out_; ++j) db_[j] += dy.at2(r, j);
   Tensor dx;
-  matmul_bt(dy, w_, dx, threads);
+  if (need_input_grad) matmul_bt(dy, w_, dx, threads);
   return dx;
 }
 
 // ---------------------------------------------------------------- ReLU
 
 Tensor ReLU::forward(const Tensor& x, bool /*training*/, unsigned /*threads*/) {
-  x_cache_ = x;
+  x_ = &x;
   Tensor y;
   relu_forward(x, y);
   return y;
 }
 
-Tensor ReLU::backward(const Tensor& dy, unsigned /*threads*/) {
+Tensor ReLU::backward(const Tensor& dy, unsigned /*threads*/, bool /*need_input_grad*/) {
+  if (x_ == nullptr) throw std::logic_error("ReLU: backward without a forward");
   Tensor dx;
-  relu_backward(x_cache_, dy, dx);
+  relu_backward(*x_, dy, dx);
   return dx;
 }
 
@@ -69,7 +71,7 @@ Conv2D::Conv2D(std::size_t in_c, std::size_t h, std::size_t w, std::size_t out_c
 
 Tensor Conv2D::forward(const Tensor& x, bool /*training*/, unsigned threads) {
   if (x.dim(1) != in_c_ * h_ * w_) throw std::invalid_argument("Conv2D: input plane size mismatch");
-  x_cache_ = x;
+  x_ = &x;
   const std::size_t n = x.dim(0);
   Tensor y({n, out_c_ * out_h_ * out_w_});
   parallel_for(n, threads, [&](std::size_t s0, std::size_t s1) {
@@ -99,15 +101,15 @@ Tensor Conv2D::forward(const Tensor& x, bool /*training*/, unsigned threads) {
   return y;
 }
 
-Tensor Conv2D::backward(const Tensor& dy, unsigned threads) {
+Tensor Conv2D::backward(const Tensor& dy, unsigned threads, bool need_input_grad) {
+  if (x_ == nullptr) throw std::logic_error("Conv2D: backward without a forward");
   const std::size_t n = dy.dim(0);
   dweights_.fill(0.0f);
   dbias_.fill(0.0f);
-  Tensor dx({n, in_c_ * h_ * w_});
   // Parameter gradients are accumulated serially (shared across samples);
   // dx is sample-independent and parallelises cleanly.
   for (std::size_t s = 0; s < n; ++s) {
-    const float* xs = x_cache_.data() + s * in_c_ * h_ * w_;
+    const float* xs = x_->data() + s * in_c_ * h_ * w_;
     const float* dys = dy.data() + s * out_c_ * out_h_ * out_w_;
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
       float* dwk = dweights_.data() + oc * in_c_ * k_ * k_;
@@ -128,6 +130,8 @@ Tensor Conv2D::backward(const Tensor& dy, unsigned threads) {
       }
     }
   }
+  if (!need_input_grad) return {};
+  Tensor dx({n, in_c_ * h_ * w_});
   parallel_for(n, threads, [&](std::size_t s0, std::size_t s1) {
     for (std::size_t s = s0; s < s1; ++s) {
       const float* dys = dy.data() + s * out_c_ * out_h_ * out_w_;
@@ -198,7 +202,7 @@ Tensor MaxPool2D::forward(const Tensor& x, bool /*training*/, unsigned threads) 
   return y;
 }
 
-Tensor MaxPool2D::backward(const Tensor& dy, unsigned /*threads*/) {
+Tensor MaxPool2D::backward(const Tensor& dy, unsigned /*threads*/, bool /*need_input_grad*/) {
   Tensor dx(in_shape_);
   const std::size_t out_plane = c_ * out_h_ * out_w_;
   for (std::size_t s = 0; s < dy.dim(0); ++s) {
@@ -268,7 +272,7 @@ Tensor BatchNorm::forward(const Tensor& x, bool training, unsigned /*threads*/) 
   return y;
 }
 
-Tensor BatchNorm::backward(const Tensor& dy, unsigned /*threads*/) {
+Tensor BatchNorm::backward(const Tensor& dy, unsigned /*threads*/, bool /*need_input_grad*/) {
   const std::size_t n = dy.dim(0);
   if (x_hat_.size() != dy.size())
     throw std::logic_error("BatchNorm: backward without a training forward");
@@ -326,7 +330,7 @@ Tensor Dropout::forward(const Tensor& x, bool training, unsigned /*threads*/) {
   return y;
 }
 
-Tensor Dropout::backward(const Tensor& dy, unsigned /*threads*/) {
+Tensor Dropout::backward(const Tensor& dy, unsigned /*threads*/, bool /*need_input_grad*/) {
   if (mask_.empty()) return dy;
   Tensor dx(dy.shape());
   for (std::size_t i = 0; i < dy.size(); ++i) dx[i] = dy[i] * mask_[i];

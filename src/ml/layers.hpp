@@ -1,8 +1,9 @@
 // Neural-network layers with forward/backward passes.
 //
 // Activations flow as rank-2 tensors [batch, features]; convolutional
-// layers interpret the feature axis as C*H*W planes. Each layer caches what
-// its backward pass needs, so a Layer instance serves one training stream
+// layers interpret the feature axis as C*H*W planes. Each layer keeps what
+// its backward pass needs (Dense, ReLU and Conv2D keep a reference to their
+// input rather than a copy), so a Layer instance serves one training stream
 // at a time (each HPO experiment builds its own model — exactly the paper's
 // create_model(config) per task).
 #pragma once
@@ -31,10 +32,15 @@ class Layer {
   virtual std::string name() const = 0;
 
   /// y = f(x). `threads` caps internal parallelism (the task's CPU budget).
+  /// A layer may keep a reference to `x`: it must stay alive and unchanged
+  /// until the matching backward call (Model keeps every activation until
+  /// the next forward).
   virtual Tensor forward(const Tensor& x, bool training, unsigned threads) = 0;
 
-  /// dx = df/dx(dy); accumulates parameter gradients internally.
-  virtual Tensor backward(const Tensor& dy, unsigned threads) = 0;
+  /// dx = df/dx(dy); accumulates parameter gradients internally. When the
+  /// caller discards dx (`need_input_grad` false: the model's first layer),
+  /// a layer may skip computing it and return an empty tensor.
+  virtual Tensor backward(const Tensor& dy, unsigned threads, bool need_input_grad = true) = 0;
 
   /// Trainable parameters and their gradients, index-aligned.
   virtual std::vector<Tensor*> params() { return {}; }
@@ -55,7 +61,7 @@ class Dense : public Layer {
   Dense(std::size_t in, std::size_t out, Rng& rng);
   std::string name() const override { return "dense"; }
   Tensor forward(const Tensor& x, bool training, unsigned threads) override;
-  Tensor backward(const Tensor& dy, unsigned threads) override;
+  Tensor backward(const Tensor& dy, unsigned threads, bool need_input_grad = true) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
   std::size_t flops_per_sample() const override { return in_ * out_; }
@@ -63,17 +69,17 @@ class Dense : public Layer {
  private:
   std::size_t in_, out_;
   Tensor w_, b_, dw_, db_;
-  Tensor x_cache_;
+  const Tensor* x_ = nullptr;  ///< forward input, read by backward
 };
 
 class ReLU : public Layer {
  public:
   std::string name() const override { return "relu"; }
   Tensor forward(const Tensor& x, bool training, unsigned threads) override;
-  Tensor backward(const Tensor& dy, unsigned threads) override;
+  Tensor backward(const Tensor& dy, unsigned threads, bool need_input_grad = true) override;
 
  private:
-  Tensor x_cache_;
+  const Tensor* x_ = nullptr;  ///< forward input, read by backward
 };
 
 /// 2-D convolution, stride 1, valid padding. Input rows are C*H*W planes.
@@ -83,7 +89,7 @@ class Conv2D : public Layer {
          Rng& rng);
   std::string name() const override { return "conv2d"; }
   Tensor forward(const Tensor& x, bool training, unsigned threads) override;
-  Tensor backward(const Tensor& dy, unsigned threads) override;
+  Tensor backward(const Tensor& dy, unsigned threads, bool need_input_grad = true) override;
   std::vector<Tensor*> params() override { return {&weights_, &bias_}; }
   std::vector<Tensor*> grads() override { return {&dweights_, &dbias_}; }
   std::size_t flops_per_sample() const override {
@@ -99,7 +105,7 @@ class Conv2D : public Layer {
   Tensor weights_;  ///< [out_c, in_c*k*k]
   Tensor bias_;     ///< [out_c]
   Tensor dweights_, dbias_;
-  Tensor x_cache_;
+  const Tensor* x_ = nullptr;  ///< forward input, read by backward
 };
 
 /// 2x2 max pooling, stride 2. Input rows are C*H*W planes.
@@ -108,7 +114,7 @@ class MaxPool2D : public Layer {
   MaxPool2D(std::size_t c, std::size_t h, std::size_t w);
   std::string name() const override { return "maxpool2d"; }
   Tensor forward(const Tensor& x, bool training, unsigned threads) override;
-  Tensor backward(const Tensor& dy, unsigned threads) override;
+  Tensor backward(const Tensor& dy, unsigned threads, bool need_input_grad = true) override;
 
   std::size_t out_height() const { return out_h_; }
   std::size_t out_width() const { return out_w_; }
@@ -128,7 +134,7 @@ class BatchNorm : public Layer {
   explicit BatchNorm(std::size_t features, float momentum = 0.9f, float eps = 1e-5f);
   std::string name() const override { return "batchnorm"; }
   Tensor forward(const Tensor& x, bool training, unsigned threads) override;
-  Tensor backward(const Tensor& dy, unsigned threads) override;
+  Tensor backward(const Tensor& dy, unsigned threads, bool need_input_grad = true) override;
   std::vector<Tensor*> params() override { return {&gamma_, &beta_}; }
   std::vector<Tensor*> grads() override { return {&dgamma_, &dbeta_}; }
   LayerState snapshot_state() const override { return {{running_mean_, running_var_}, {}}; }
@@ -153,7 +159,7 @@ class Dropout : public Layer {
   Dropout(double rate, std::uint64_t seed);
   std::string name() const override { return "dropout"; }
   Tensor forward(const Tensor& x, bool training, unsigned threads) override;
-  Tensor backward(const Tensor& dy, unsigned threads) override;
+  Tensor backward(const Tensor& dy, unsigned threads, bool need_input_grad = true) override;
   LayerState snapshot_state() const override;
   void restore_state(const LayerState& state) override;
 

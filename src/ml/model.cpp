@@ -1,18 +1,28 @@
 #include "ml/model.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace chpo::ml {
 
 Tensor Model::forward(const Tensor& x, bool training, unsigned threads) {
-  Tensor out = x;
-  for (auto& layer : layers_) out = layer->forward(out, training, threads);
-  return out;
+  if (layers_.empty()) return x;
+  activations_.resize(layers_.size());
+  const Tensor* in = &x;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    activations_[i] = layers_[i]->forward(*in, training, threads);
+    in = &activations_[i];
+  }
+  return std::move(activations_.back());
 }
 
 void Model::backward(const Tensor& dlogits, unsigned threads) {
-  Tensor grad = dlogits;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) grad = (*it)->backward(grad, threads);
+  Tensor grad;
+  const Tensor* dy = &dlogits;
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    grad = layers_[i]->backward(*dy, threads, /*need_input_grad=*/i > 0);
+    dy = &grad;
+  }
 }
 
 std::vector<Tensor*> Model::params() {

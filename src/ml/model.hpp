@@ -19,10 +19,13 @@ class Model {
   void add(std::unique_ptr<Layer> layer) { layers_.push_back(std::move(layer)); }
   std::size_t layer_count() const { return layers_.size(); }
 
-  /// Forward through every layer.
+  /// Forward through every layer. Layers read their inputs again in
+  /// backward, so `x` must stay alive and unchanged until then; the
+  /// intermediate activations are kept here until the next forward.
   Tensor forward(const Tensor& x, bool training, unsigned threads = 1);
 
-  /// Backward from dLoss/dLogits; fills every layer's gradients.
+  /// Backward from dLoss/dLogits; fills every layer's gradients. The input
+  /// gradient of the first layer is never computed (nothing reads it).
   void backward(const Tensor& dlogits, unsigned threads = 1);
 
   /// Flattened parameter / gradient lists across layers.
@@ -40,6 +43,9 @@ class Model {
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
+  /// Output of every layer but the last (which forward moves out): the
+  /// inputs layers 1..n-1 refer back to in backward.
+  std::vector<Tensor> activations_;
 };
 
 /// input -> Dense(hidden) [-> BatchNorm] -> ReLU [-> Dropout] -> ... ->

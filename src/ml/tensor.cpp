@@ -57,6 +57,58 @@ void check2(const Tensor& t, const char* name) {
   if (t.rank() != 2) throw std::invalid_argument(std::string(name) + ": rank-2 tensor required");
 }
 
+// Register-blocked kernel shared by matmul, matmul_at and matmul_bt:
+// out = A·B with B row-major [k,n] and A read through strides, so one
+// kernel serves A and A^T. kRows rows of `out` by one kPanel-column panel
+// accumulate in locals while p walks 0..k-1; the fixed panel width lets
+// the compiler vectorise across columns at -O2. Each element is still
+// summed over p in order starting from 0.0f, exactly as the naive loops do.
+constexpr std::size_t kRows = 4;
+constexpr std::size_t kPanel = 16;
+
+struct Gemm {
+  const float* a;
+  std::size_t a_row, a_col;  ///< A(i,p) = a[i*a_row + p*a_col]
+  const float* b;            ///< [k,n] row-major
+  float* out;                ///< [m,n] row-major
+  std::size_t k, n;
+};
+
+template <bool kFullPanel>
+void gemm_block(const Gemm& g, std::size_t i, std::size_t rows, std::size_t j0,
+                std::size_t width) {
+  // Rows past the end re-read row i; their sums are computed and dropped.
+  std::size_t row[kRows];
+  for (std::size_t r = 0; r < kRows; ++r) row[r] = (i + (r < rows ? r : 0)) * g.a_row;
+  const std::size_t w = kFullPanel ? kPanel : width;
+  float acc[kRows][kPanel] = {};
+  for (std::size_t p = 0; p < g.k; ++p) {
+    const float* ap = g.a + p * g.a_col;
+    const float a0 = ap[row[0]], a1 = ap[row[1]], a2 = ap[row[2]], a3 = ap[row[3]];
+    const float* bp = g.b + p * g.n + j0;
+    for (std::size_t j = 0; j < w; ++j) {
+      const float bj = bp[j];
+      acc[0][j] += a0 * bj;
+      acc[1][j] += a1 * bj;
+      acc[2][j] += a2 * bj;
+      acc[3][j] += a3 * bj;
+    }
+  }
+  for (std::size_t r = 0; r < rows; ++r) std::copy_n(acc[r], w, g.out + (i + r) * g.n + j0);
+}
+
+/// Rows split across up to `threads` workers; each writes only its own rows.
+void gemm(const Gemm& g, std::size_t m, unsigned threads) {
+  parallel_for(m, threads, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t i = r0; i < r1; i += kRows) {
+      const std::size_t rows = std::min(kRows, r1 - i);
+      std::size_t j0 = 0;
+      for (; j0 + kPanel <= g.n; j0 += kPanel) gemm_block<true>(g, i, rows, j0, kPanel);
+      if (j0 < g.n) gemm_block<false>(g, i, rows, j0, g.n - j0);
+    }
+  });
+}
+
 }  // namespace
 
 void matmul(const Tensor& a, const Tensor& b, Tensor& out, unsigned threads) {
@@ -65,20 +117,7 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& out, unsigned threads) {
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   if (b.dim(0) != k) throw std::invalid_argument("matmul: inner dimension mismatch");
   if (out.rank() != 2 || out.dim(0) != m || out.dim(1) != n) out = Tensor({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = out.data();
-  parallel_for(m, threads, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      float* ci = pc + i * n;
-      std::fill(ci, ci + n, 0.0f);
-      for (std::size_t p = 0; p < k; ++p) {
-        const float aip = pa[i * k + p];
-        const float* bp = pb + p * n;
-        for (std::size_t j = 0; j < n; ++j) ci[j] += aip * bp[j];
-      }
-    }
-  });
+  gemm({a.data(), k, 1, b.data(), out.data(), k, n}, m, threads);
 }
 
 void matmul_bt(const Tensor& a, const Tensor& b, Tensor& out, unsigned threads) {
@@ -87,20 +126,10 @@ void matmul_bt(const Tensor& a, const Tensor& b, Tensor& out, unsigned threads) 
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
   if (b.dim(1) != k) throw std::invalid_argument("matmul_bt: inner dimension mismatch");
   if (out.rank() != 2 || out.dim(0) != m || out.dim(1) != n) out = Tensor({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = out.data();
-  parallel_for(m, threads, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        const float* ai = pa + i * k;
-        const float* bj = pb + j * k;
-        float sum = 0.0f;
-        for (std::size_t p = 0; p < k; ++p) sum += ai[p] * bj[p];
-        pc[i * n + j] = sum;
-      }
-    }
-  });
+  std::vector<float> bt(k * n);
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t p = 0; p < k; ++p) bt[p * n + j] = b.data()[j * k + p];
+  gemm({a.data(), k, 1, bt.data(), out.data(), k, n}, m, threads);
 }
 
 void matmul_at(const Tensor& a, const Tensor& b, Tensor& out, unsigned threads) {
@@ -109,20 +138,7 @@ void matmul_at(const Tensor& a, const Tensor& b, Tensor& out, unsigned threads) 
   const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
   if (b.dim(0) != k) throw std::invalid_argument("matmul_at: inner dimension mismatch");
   if (out.rank() != 2 || out.dim(0) != m || out.dim(1) != n) out = Tensor({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = out.data();
-  parallel_for(m, threads, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      float* ci = pc + i * n;
-      std::fill(ci, ci + n, 0.0f);
-      for (std::size_t p = 0; p < k; ++p) {
-        const float api = pa[p * m + i];
-        const float* bp = pb + p * n;
-        for (std::size_t j = 0; j < n; ++j) ci[j] += api * bp[j];
-      }
-    }
-  });
+  gemm({a.data(), 1, m, b.data(), out.data(), k, n}, m, threads);
 }
 
 void add_row_bias(Tensor& out, const Tensor& bias) {

@@ -52,6 +52,14 @@ class Tensor {
   std::vector<float> data_;
 };
 
+// Summation order: every output element of matmul, matmul_bt and
+// matmul_at is out[i][j] = ((0.0f + x(i,0)*y(0,j)) + x(i,1)*y(1,j)) + ...,
+// summed over the inner index p = 0..k-1 in order, one rounding per
+// multiply and per add, whatever the thread budget or blocking. Results are
+// therefore bit-identical to the naive triple loops, and seeded training
+// runs reproduce exactly. A kernel change that reorders the p sum (pairwise
+// or split accumulators, vectorising over p) breaks that contract.
+
 /// c = a @ b. a is [m,k], b is [k,n], out [m,n]. Rows are split across up to
 /// `threads` workers.
 void matmul(const Tensor& a, const Tensor& b, Tensor& out, unsigned threads = 1);

@@ -676,12 +676,15 @@ Engine::Completion Engine::conclude_attempt(const Attempt& attempt, AttemptResul
 
   if (record.abandoned) {
     // Runtime::cancel caught this attempt mid-flight: whatever it produced
-    // is discarded — no commit, no retry, dependents were already doomed.
+    // is discarded — no commit, no retry. Dependents known at cancel time
+    // were doomed then; ones submitted since wait on this task and are
+    // doomed now.
     ++record.attempts_made;
     if (record.running_attempts > 0) return completion;  // a sibling still runs
     record.state = TaskState::Cancelled;
     if (record.failure_reason.empty()) record.failure_reason = "cancelled while running";
     mark_terminal(task);
+    cancel_dependents(task);
     return completion;
   }
 

@@ -17,6 +17,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -556,6 +557,45 @@ TEST(DaemonServer, CrashRecoveryAtEveryInjectionPointIsExactlyOnce) {
 
     fs::remove_all(state_dir);
   }
+}
+
+TEST(DaemonServer, JournalManifestAndListReplyRoundTripByteForByte) {
+  // What the daemon writes and sends parses and serializes back to the
+  // same bytes: every journal payload, a `list` reply and the manifest.
+  const fs::path state_dir = fresh_state_dir("roundtrip");
+  const ml::Dataset dataset = ml::make_mnist_like(80, 20, 12);
+  daemon::ServerOptions options = sim_options();
+  options.state_dir = state_dir.string();
+  options.fsync = false;
+  options.journal_compact_every = 0;  // keep every record in the journal
+  daemon::Server server(std::move(options), dataset);
+  ASSERT_TRUE(reply_ok(reply_of(server.handle(1, submit_request("alice", "grid", 0)))));
+  ASSERT_TRUE(reply_ok(reply_of(server.handle(2, keyed_submit("bob", "random", 3, "bob-1")))));
+  run_to_idle(server);
+  ASSERT_TRUE(reply_ok(
+      reply_of(server.handle(2, keyed_submit("bob", "tpe", 4, "bob-2", /*paused=*/true)))));
+
+  const std::string list = json::serialize(reply_of(server.handle(1, op_request("list"))));
+  EXPECT_EQ(json::serialize(json::parse(list)), list);
+
+  std::ifstream journal(state_dir / "journal.ndjson", std::ios::binary);
+  std::string line;
+  std::size_t records = 0;
+  while (std::getline(journal, line)) {
+    const std::string payload = line.substr(line.find(' ') + 1);
+    EXPECT_EQ(json::serialize(json::parse(payload)), payload);
+    ++records;
+  }
+  EXPECT_GE(records, 4u);  // three submits, two closes
+
+  EXPECT_TRUE(server.handle(1, op_request("shutdown")).empty());
+  while (!server.done()) server.step(1e6);
+  std::ifstream manifest_file(state_dir / "manifest.json", std::ios::binary);
+  std::ostringstream manifest;
+  manifest << manifest_file.rdbuf();
+  EXPECT_NE(manifest.str().find("bob-2"), std::string::npos);
+  EXPECT_EQ(json::serialize_pretty(json::parse(manifest.str())) + "\n", manifest.str());
+  fs::remove_all(state_dir);
 }
 
 TEST(DaemonServer, TornJournalTailIsDiscardedAndIntactPrefixRecovered) {

@@ -2,9 +2,14 @@
 // Listing 1 search-space file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "jsonlite/json.hpp"
 #include "jsonlite/record.hpp"
@@ -388,6 +393,62 @@ TEST(Record, AtomicWriteFileReplacesWholeFileAndCleansUp) {
       (std::filesystem::temp_directory_path() / "chpo_no_such_dir" / "file.json").string();
   EXPECT_FALSE(atomic_write_file(missing, "x", true));
   EXPECT_FALSE(std::filesystem::exists(missing + ".tmp"));
+}
+
+// Every corpus line that parses must serialize to a fixed point: parsing
+// the serialized text and serializing again gives the same bytes, compact
+// and pretty. The pinned hash covers those bytes, so a change to the value
+// model that alters any output (key order, number formatting, escapes)
+// shows here.
+TEST(JsonRoundTrip, FuzzCorporaSerializeToPinnedBytes) {
+  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a
+  const auto add = [&](const std::string& bytes) {
+    for (const char c : bytes) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 1099511628211ULL;
+    }
+    hash ^= 0xffU;  // separator
+    hash *= 1099511628211ULL;
+  };
+  std::size_t parsed = 0;
+  for (const char* corpus : {"wire", "records"}) {
+    std::vector<std::filesystem::path> files;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(std::filesystem::path(CHPO_FUZZ_CORPUS_DIR) / corpus))
+      files.push_back(entry.path());
+    std::sort(files.begin(), files.end());
+    ASSERT_FALSE(files.empty()) << corpus;
+    for (const std::filesystem::path& file : files) {
+      std::ifstream in(file, std::ios::binary);
+      std::ostringstream text;
+      text << in.rdbuf();
+      std::istringstream lines(text.str());
+      std::string line;
+      while (std::getline(lines, line)) {
+        if (!line.empty() && line.back() == '\r') line.pop_back();
+        // Record lines carry "<crc> " before their JSON payload.
+        const std::size_t space = line.find(' ');
+        std::string payload = line;
+        if (std::string(corpus) == "records" && space != std::string::npos)
+          payload = line.substr(space + 1);
+        Value value;
+        try {
+          value = parse(payload);
+        } catch (const JsonError&) {
+          continue;  // malformed on purpose
+        }
+        ++parsed;
+        const std::string compact = serialize(value);
+        const std::string pretty = serialize_pretty(value);
+        EXPECT_EQ(serialize(parse(compact)), compact) << file;
+        EXPECT_EQ(serialize_pretty(parse(pretty)), pretty) << file;
+        add(compact);
+        add(pretty);
+      }
+    }
+  }
+  EXPECT_GT(parsed, 10u);
+  EXPECT_EQ(hash, 5708231820760878687ULL) << "serialized corpus bytes changed";
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "ml/tensor.hpp"
 
@@ -92,6 +95,82 @@ TEST(Matmul, TransposedVariantsAgree) {
     EXPECT_NEAR(reference[i], via_bt[i], 1e-4);
     EXPECT_NEAR(reference[i], via_at[i], 1e-4);
   }
+}
+
+// The blocked kernels promise each output element the naive loops'
+// summation order (tensor.hpp), so they must match these references bit
+// for bit on every shape: ragged panels, tail rows and k = 1 included.
+Tensor naive_matmul(const Tensor& a, const Tensor& b) {  // a [m,k], b [k,n]
+  Tensor out({a.dim(0), b.dim(1)});
+  for (std::size_t i = 0; i < a.dim(0); ++i)
+    for (std::size_t j = 0; j < b.dim(1); ++j) {
+      float sum = 0.0f;
+      for (std::size_t p = 0; p < a.dim(1); ++p) sum += a.at2(i, p) * b.at2(p, j);
+      out.at2(i, j) = sum;
+    }
+  return out;
+}
+
+Tensor naive_matmul_bt(const Tensor& a, const Tensor& b) {  // a [m,k], b [n,k]
+  Tensor out({a.dim(0), b.dim(0)});
+  for (std::size_t i = 0; i < a.dim(0); ++i)
+    for (std::size_t j = 0; j < b.dim(0); ++j) {
+      float sum = 0.0f;
+      for (std::size_t p = 0; p < a.dim(1); ++p) sum += a.at2(i, p) * b.at2(j, p);
+      out.at2(i, j) = sum;
+    }
+  return out;
+}
+
+Tensor naive_matmul_at(const Tensor& a, const Tensor& b) {  // a [k,m], b [k,n]
+  Tensor out({a.dim(1), b.dim(1)});
+  for (std::size_t i = 0; i < a.dim(1); ++i)
+    for (std::size_t j = 0; j < b.dim(1); ++j) {
+      float sum = 0.0f;
+      for (std::size_t p = 0; p < a.dim(0); ++p) sum += a.at2(p, i) * b.at2(p, j);
+      out.at2(i, j) = sum;
+    }
+  return out;
+}
+
+bool bit_equal(const Tensor& x, const Tensor& y) {
+  return x.shape() == y.shape() && std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+TEST(Matmul, BlockedKernelsAreBitIdenticalToNaiveLoops) {
+  const std::vector<std::size_t> dims = {1, 3, 4, 5, 15, 16, 17, 33, 784};
+  Rng rng(8);
+  std::size_t shapes = 0;
+  for (const std::size_t m : dims)
+    for (const std::size_t n : dims)
+      for (const std::size_t k : dims) {
+        // Every small shape, plus each 784 dimension on its own (three
+        // 784s would make this test take seconds).
+        if ((m == 784) + (n == 784) + (k == 784) > 1) continue;
+        const Tensor a = Tensor::randn({m, k}, rng);
+        const Tensor b = Tensor::randn({k, n}, rng);
+        const Tensor bt = Tensor::randn({n, k}, rng);
+        const Tensor at = Tensor::randn({k, m}, rng);
+        const Tensor want = naive_matmul(a, b);
+        const Tensor want_bt = naive_matmul_bt(a, bt);
+        const Tensor want_at = naive_matmul_at(at, b);
+        for (const unsigned threads : {1u, 4u}) {
+          // Pre-sized outputs full of NaN: the kernels must write every element.
+          Tensor got({m, n}, std::numeric_limits<float>::quiet_NaN());
+          Tensor got_bt = got, got_at = got;
+          matmul(a, b, got, threads);
+          matmul_bt(a, bt, got_bt, threads);
+          matmul_at(at, b, got_at, threads);
+          ASSERT_TRUE(bit_equal(got, want)) << "matmul m=" << m << " n=" << n << " k=" << k
+                                            << " threads=" << threads;
+          ASSERT_TRUE(bit_equal(got_bt, want_bt)) << "matmul_bt m=" << m << " n=" << n
+                                                  << " k=" << k << " threads=" << threads;
+          ASSERT_TRUE(bit_equal(got_at, want_at)) << "matmul_at m=" << m << " n=" << n
+                                                  << " k=" << k << " threads=" << threads;
+        }
+        ++shapes;
+      }
+  EXPECT_EQ(shapes, 8u * 8u * 8u + 3u * 8u * 8u);
 }
 
 TEST(Matmul, DimensionMismatchThrows) {

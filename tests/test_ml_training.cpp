@@ -2,6 +2,10 @@
 // early stopping works, runs are reproducible.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "ml/dataset.hpp"
 #include "ml/trainer.hpp"
 
@@ -183,6 +187,84 @@ TEST(Evaluate, PerfectModelScoresOne) {
   std::vector<int> wrong = predictions;
   for (int& v : wrong) v = 1 - v;
   EXPECT_DOUBLE_EQ(evaluate(mlp, x, wrong, 1), 0.0);
+}
+
+
+// ---------------------------------------------------------------------
+// Golden training: seeded runs must train to bit-identical weights and
+// results. The kernels under the layers promise each output element the
+// same summation order as the naive loops, so any reordering (or a
+// skipped or duplicated term) changes this hash.
+// ---------------------------------------------------------------------
+
+/// FNV-1a over 64-bit words.
+struct TrainingHash {
+  std::uint64_t value = 1469598103934665603ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      value ^= (v >> (8 * i)) & 0xffU;
+      value *= 1099511628211ULL;
+    }
+  }
+  void add(double d) { add(std::bit_cast<std::uint64_t>(d)); }
+  void add(const Tensor& t) {
+    add(static_cast<std::uint64_t>(t.size()));
+    for (std::size_t i = 0; i < t.size(); ++i) add(static_cast<std::uint64_t>(std::bit_cast<std::uint32_t>(t[i])));
+  }
+};
+
+void hash_run(const Dataset& data, const TrainConfig& config, TrainingHash& hash) {
+  TrainerSession session(data, config);
+  while (session.step_epoch()) {
+  }
+  const TrainSnapshot snap = session.snapshot();
+  for (const Tensor& w : snap.weights) hash.add(w);
+  for (const LayerState& state : snap.layer_state)
+    for (const Tensor& t : state.tensors) hash.add(t);
+  const TrainResult& result = session.result();
+  for (const EpochStats& e : result.history) {
+    hash.add(static_cast<std::uint64_t>(e.epoch));
+    hash.add(e.train_loss);
+    hash.add(e.train_accuracy);
+    hash.add(e.val_accuracy);
+  }
+  hash.add(result.final_val_accuracy);
+  hash.add(result.best_val_accuracy);
+  hash.add(static_cast<std::uint64_t>(result.epochs_run));
+  hash.add(static_cast<std::uint64_t>(result.stopped_early));
+}
+
+TEST(GoldenTraining, SeededRunsMatchThePinnedHash) {
+  const Dataset mnist = make_mnist_like(160, 48, 23);
+  const Dataset cifar = make_cifar_like(48, 16, 24);
+  TrainingHash hash;
+  for (const std::string optimizer : {"SGD", "Adam", "RMSprop"}) {
+    TrainConfig plain;
+    plain.optimizer = optimizer;
+    plain.num_epochs = 2;
+    plain.batch_size = 20;
+    plain.seed = 31;
+    hash_run(mnist, plain, hash);
+
+    // Two hidden layers with BatchNorm and Dropout, an odd batch, weight
+    // decay, a schedule and a 4-thread budget (rows split across workers).
+    TrainConfig deep = plain;
+    deep.batch_norm = true;
+    deep.dropout = 0.25f;
+    deep.hidden_layers = 2;
+    deep.hidden_units = 33;
+    deep.batch_size = 17;
+    deep.weight_decay = 1e-3f;
+    deep.lr_schedule = "cosine";
+    deep.threads = 4;
+    hash_run(mnist, deep, hash);
+
+    TrainConfig cnn = plain;
+    cnn.num_epochs = 1;
+    cnn.batch_size = 12;
+    hash_run(cifar, cnn, hash);
+  }
+  EXPECT_EQ(hash.value, 14190627782089166156ULL) << "trained weights or results changed";
 }
 
 }  // namespace

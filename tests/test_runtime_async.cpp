@@ -188,6 +188,21 @@ TEST(Cancel, SecondCancelOfRunningTaskReturnsFalse) {
   EXPECT_EQ(cancel_events, 1u);
 }
 
+TEST(Cancel, DependentSubmittedWhileCancelledAttemptRunsIsCancelled) {
+  // The consumer arrives after the cancel but before the abandoned attempt
+  // lands: the producer's output will never be committed, so the attempt's
+  // end must doom the consumer instead of leaving it waiting for good.
+  Runtime runtime(sim_cluster(1, 4));
+  const Future producer = runtime.submit(timed("doomed", 5.0));
+  EXPECT_FALSE(runtime.wait_all_for(1.0));  // attempt in flight
+  EXPECT_TRUE(runtime.cancel(producer));
+  const Future consumer = runtime.submit(timed("consumer", 1.0), {{producer.data, Direction::In}});
+  runtime.barrier();
+  EXPECT_EQ(runtime.graph().task(producer.producer).state, TaskState::Cancelled);
+  EXPECT_EQ(runtime.graph().task(consumer.producer).state, TaskState::Cancelled);
+  EXPECT_THROW(runtime.wait_on(consumer), TaskFailedError);
+}
+
 TEST(Cancel, TerminalTaskReturnsFalse) {
   Runtime runtime(sim_cluster());
   const Future f = runtime.submit(timed("t", 1.0));
