@@ -70,8 +70,9 @@ struct Outbound {
 };
 
 struct ServerOptions {
-  /// The runtime trace is off unless asked for (chpo_serve --trace): the
-  /// daemon never reads it, and it grows with every study served.
+  /// The runtime trace is off by default: the daemon never reads it, and it
+  /// grows with every study served. In-process callers that want it set
+  /// `manager.runtime.tracing` and read `Server::manager().trace()`.
   service::ManagerOptions manager = [] {
     service::ManagerOptions untraced;
     untraced.runtime.tracing = false;

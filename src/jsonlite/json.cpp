@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 
 namespace chpo::json {
@@ -191,34 +190,24 @@ class Parser {
     }
   }
 
-  // Members and elements collect on one stack per parse and move into an
-  // exactly sized container when their object or array closes: a `list`
-  // reply holds thousands of small objects, and push_back growth would
-  // leave each with up to twice the slots it needs.
-  template <typename T>
-  static T take_from(std::vector<typename T::value_type>& stack, std::size_t base) {
-    T out(std::make_move_iterator(stack.begin() + static_cast<std::ptrdiff_t>(base)),
-          std::make_move_iterator(stack.end()));
-    stack.erase(stack.begin() + static_cast<std::ptrdiff_t>(base), stack.end());
-    return out;
-  }
-
+  // Objects and arrays are shrunk to their exact size when they close: a
+  // `list` reply holds thousands of small objects, and push_back growth
+  // would leave each with up to twice the slots it needs.
   Value parse_object() {
     expect('{');
+    Object obj;
     skip_whitespace();
     if (peek() == '}') {
       take();
-      return Value(Object{});
+      return Value(std::move(obj));
     }
-    const std::size_t base = members_.size();
     for (;;) {
       skip_whitespace();
       if (peek() != '"') fail("expected string key");
       std::string key = parse_string();
       skip_whitespace();
       expect(':');
-      Value value = parse_value();
-      members_.emplace_back(std::move(key), std::move(value));
+      obj.emplace_back(std::move(key), parse_value());
       skip_whitespace();
       const char next = take();
       if (next == '}') break;
@@ -227,20 +216,20 @@ class Parser {
         fail("expected ',' or '}' in object");
       }
     }
-    return Value(take_from<Object>(members_, base));
+    obj.shrink_to_fit();
+    return Value(std::move(obj));
   }
 
   Value parse_array() {
     expect('[');
+    Array arr;
     skip_whitespace();
     if (peek() == ']') {
       take();
-      return Value(Array{});
+      return Value(std::move(arr));
     }
-    const std::size_t base = elements_.size();
     for (;;) {
-      Value value = parse_value();
-      elements_.push_back(std::move(value));
+      arr.push_back(parse_value());
       skip_whitespace();
       const char next = take();
       if (next == ']') break;
@@ -249,7 +238,8 @@ class Parser {
         fail("expected ',' or ']' in array");
       }
     }
-    return Value(take_from<Array>(elements_, base));
+    arr.shrink_to_fit();
+    return Value(std::move(arr));
   }
 
   std::string parse_string() {
@@ -356,8 +346,6 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
-  Object members_;  ///< members of the objects still open, innermost last
-  Array elements_;  ///< elements of the arrays still open, innermost last
 };
 
 void escape_string(const std::string& s, std::string& out) {

@@ -2,7 +2,6 @@
 // Listing 1 search-space file.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -395,11 +394,53 @@ TEST(Record, AtomicWriteFileReplacesWholeFileAndCleansUp) {
   EXPECT_FALSE(std::filesystem::exists(missing + ".tmp"));
 }
 
+// The JSON payloads of a corpus file that parse; malformed lines (there on
+// purpose) are skipped. Record lines carry "<crc> " before their payload.
+std::vector<Value> parsable_corpus_values(const std::filesystem::path& file, bool records) {
+  std::ifstream in(file, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::istringstream lines(text.str());
+  std::vector<Value> values;
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    const std::size_t space = line.find(' ');
+    const std::string payload =
+        records && space != std::string::npos ? line.substr(space + 1) : line;
+    try {
+      values.push_back(parse(payload));
+    } catch (const JsonError&) {
+    }
+  }
+  return values;
+}
+
 // Every corpus line that parses must serialize to a fixed point: parsing
 // the serialized text and serializing again gives the same bytes, compact
-// and pretty. The pinned hash covers those bytes, so a change to the value
-// model that alters any output (key order, number formatting, escapes)
-// shows here.
+// and pretty. This walks whatever the corpus directories hold, inputs a
+// fuzzer added included.
+TEST(JsonRoundTrip, FuzzCorporaSerializeToAFixedPoint) {
+  std::size_t parsed = 0;
+  for (const char* corpus : {"wire", "records"}) {
+    const std::filesystem::path dir = std::filesystem::path(CHPO_FUZZ_CORPUS_DIR) / corpus;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      for (const Value& value : parsable_corpus_values(entry.path(), corpus == std::string("records"))) {
+        ++parsed;
+        const std::string compact = serialize(value);
+        const std::string pretty = serialize_pretty(value);
+        EXPECT_EQ(serialize(parse(compact)), compact) << entry.path();
+        EXPECT_EQ(serialize_pretty(parse(pretty)), pretty) << entry.path();
+      }
+    }
+  }
+  EXPECT_GT(parsed, 10u);
+}
+
+// The committed seed files serialize to pinned bytes, so a change to the
+// value model that alters any output (key order, number formatting,
+// escapes) shows here. The list is fixed: a fuzzer run that adds inputs to
+// the corpus directories leaves the hash alone.
 TEST(JsonRoundTrip, FuzzCorporaSerializeToPinnedBytes) {
   std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a
   const auto add = [&](const std::string& bytes) {
@@ -410,45 +451,24 @@ TEST(JsonRoundTrip, FuzzCorporaSerializeToPinnedBytes) {
     hash ^= 0xffU;  // separator
     hash *= 1099511628211ULL;
   };
+  const std::vector<std::string> seeds = {
+      "wire/crlf_and_blank",     "wire/malformed_json",   "wire/oversized_line",
+      "wire/split_unicode",      "wire/trailing_partial", "wire/valid_lines",
+      "records/bad_crc",         "records/blank_lines",   "records/intact_journal",
+      "records/not_hex",         "records/short_frame",   "records/torn_tail",
+  };
   std::size_t parsed = 0;
-  for (const char* corpus : {"wire", "records"}) {
-    std::vector<std::filesystem::path> files;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(std::filesystem::path(CHPO_FUZZ_CORPUS_DIR) / corpus))
-      files.push_back(entry.path());
-    std::sort(files.begin(), files.end());
-    ASSERT_FALSE(files.empty()) << corpus;
-    for (const std::filesystem::path& file : files) {
-      std::ifstream in(file, std::ios::binary);
-      std::ostringstream text;
-      text << in.rdbuf();
-      std::istringstream lines(text.str());
-      std::string line;
-      while (std::getline(lines, line)) {
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        // Record lines carry "<crc> " before their JSON payload.
-        const std::size_t space = line.find(' ');
-        std::string payload = line;
-        if (std::string(corpus) == "records" && space != std::string::npos)
-          payload = line.substr(space + 1);
-        Value value;
-        try {
-          value = parse(payload);
-        } catch (const JsonError&) {
-          continue;  // malformed on purpose
-        }
-        ++parsed;
-        const std::string compact = serialize(value);
-        const std::string pretty = serialize_pretty(value);
-        EXPECT_EQ(serialize(parse(compact)), compact) << file;
-        EXPECT_EQ(serialize_pretty(parse(pretty)), pretty) << file;
-        add(compact);
-        add(pretty);
-      }
+  for (const std::string& seed : seeds) {
+    const std::filesystem::path file = std::filesystem::path(CHPO_FUZZ_CORPUS_DIR) / seed;
+    ASSERT_TRUE(std::filesystem::exists(file)) << file;
+    for (const Value& value : parsable_corpus_values(file, seed.rfind("records/", 0) == 0)) {
+      ++parsed;
+      add(serialize(value));
+      add(serialize_pretty(value));
     }
   }
   EXPECT_GT(parsed, 10u);
-  EXPECT_EQ(hash, 5708231820760878687ULL) << "serialized corpus bytes changed";
+  EXPECT_EQ(hash, 5708231820760878687ULL) << "serialized seed bytes changed";
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // NDJSON protocol (src/daemon/protocol.hpp) over a Unix domain socket:
 //
 //   chpo_serve --socket /tmp/chpo.sock --state-dir /var/lib/chpo
-//              [--simulate] [--machine mn4 --nodes 4] [--max-active 2] [--trace]
+//              [--simulate] [--machine mn4 --nodes 4] [--max-active 2]
 //
 // Clients (chpo_ctl, or anything that can write JSON lines to a socket)
 // submit studies for named tenants, stream progress, pause/resume/kill,
@@ -81,7 +81,6 @@ int serve(const ArgParser& args) {
   }
   options.manager.runtime.scheduler = args.get("scheduler", "priority");
   options.manager.runtime.simulate = args.get_bool("simulate");
-  options.manager.runtime.tracing = args.get_bool("trace");
   options.manager.runtime.seed = seed;
   options.manager.max_active = static_cast<std::size_t>(args.get_int("max-active", 0));
 
@@ -138,9 +137,6 @@ int main(int argc, char** argv) {
                 "skip journal fsync before acknowledgements (faster, crash may lose "
                 "the last instants)")
       .add_flag("simulate", "discrete-event backend (virtual time, cluster scale)")
-      .add_flag("trace",
-                "record the runtime trace in memory (off by default: it grows with every "
-                "study served)")
       .add_flag("help", "show this help");
 
   if (!args.parse(argc, argv) || args.get_bool("help")) {
