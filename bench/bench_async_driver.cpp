@@ -5,7 +5,8 @@
 // driver consumes results*: the old wait_on loop observed trials in
 // submission order, so a fast trial submitted late sat unobserved behind
 // slow early trials (head-of-line blocking); the completion-driven loop
-// (wait_any) observes it the moment it finishes and cancels the rest.
+// (track + next_completion) observes it the moment it finishes and cancels
+// the rest.
 //
 // Workload: the Figure-9 shape — one MareNostrum4 node, 4 cores per trial
 // (12 concurrent), trial durations skewed across an order of magnitude,
@@ -13,7 +14,6 @@
 // so the numbers are exact queue dynamics, not noise.
 #include "bench_common.hpp"
 
-#include <algorithm>
 #include <vector>
 
 namespace {
@@ -84,22 +84,20 @@ StopStats consume_in_order(const std::vector<TrialScript>& script, double target
   return stats;
 }
 
-/// The completion-driven loop: wait_any in completion order, cancel the
-/// rest on the first crossing.
+/// The completion-driven loop: track every trial, consume the
+/// tracked-completion queue in completion order, and cancel the rest on the
+/// first crossing.
 StopStats consume_as_completed(const std::vector<TrialScript>& script, double target) {
   rt::Runtime runtime = make_runtime();
-  std::vector<rt::Future> remaining = submit_all(runtime, script);
+  const std::vector<rt::Future> futures = submit_all(runtime, script);
+  for (const rt::Future& f : futures) runtime.track(f);
   StopStats stats;
-  while (!remaining.empty()) {
-    const rt::Future done = runtime.wait_any(remaining);
-    const double accuracy = runtime.wait_on_as<double>(done);
+  while (stats.consumed < futures.size()) {
+    const rt::Future done = runtime.next_completion();
     ++stats.consumed;
-    remaining.erase(std::remove_if(remaining.begin(), remaining.end(),
-                                   [&](const rt::Future& f) { return f.producer == done.producer; }),
-                    remaining.end());
-    if (accuracy >= target) {
-      for (const rt::Future& f : remaining) runtime.cancel(f);
-      stats.cancelled = remaining.size();
+    if (runtime.wait_on_as<double>(done) >= target) {
+      for (const rt::Future& f : futures) runtime.cancel(f);  // false for finished ones
+      stats.cancelled = futures.size() - stats.consumed;
       break;
     }
   }

@@ -26,7 +26,6 @@ class GaussianProcess {
   Prediction predict(const std::vector<double>& x) const;
 
   bool fitted() const { return !xs_.empty(); }
-  std::size_t training_size() const { return xs_.size(); }
 
   double kernel(const std::vector<double>& a, const std::vector<double>& b) const;
 

@@ -174,7 +174,6 @@ class HalvingRun : public TrialPump {
   /// Full per-rung view (the free function returns this; finish() flattens
   /// it into an HpoOutcome for the manager's uniform reporting).
   const HalvingOutcome& outcome() const { return outcome_; }
-  int current_rung() const { return rung_index_; }
 
  private:
   /// Submit the current survivors at the current epoch budget. Fully

@@ -96,7 +96,6 @@ class Conv2D : public Layer {
     return out_c_ * out_h_ * out_w_ * in_c_ * k_ * k_;
   }
 
-  std::size_t out_channels() const { return out_c_; }
   std::size_t out_height() const { return out_h_; }
   std::size_t out_width() const { return out_w_; }
 

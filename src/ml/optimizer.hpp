@@ -32,7 +32,6 @@ class Optimizer {
 
   /// Multiplier applied to the base learning rate (LR schedules).
   void set_lr_scale(float scale) { lr_scale_ = scale; }
-  float lr_scale() const { return lr_scale_; }
 
  protected:
   float lr_scale_ = 1.0f;

@@ -89,12 +89,12 @@ struct StudyPolicy {
 class Engine : private CandidateSource {
  public:
   /// Invoked (on the coordinator thread) for every task that reaches a
-  /// terminal state — the completion feed the Runtime's wait_any/callback
-  /// machinery is built on. The listener may run user code that submits or
-  /// cancels tasks, so it is never fired from inside an engine mutation
-  /// path (where TaskRecord references are live): mark_terminal only queues
-  /// the notification, and callers invoke flush_notifications() at safe
-  /// points.
+  /// terminal state — the completion feed the Runtime's tracked-completion
+  /// queue and callbacks are built on. The listener may run user code that
+  /// submits or cancels tasks, so it is never fired from inside an engine
+  /// mutation path (where TaskRecord references are live): mark_terminal
+  /// only queues the notification, and callers invoke flush_notifications()
+  /// at safe points.
   using TerminalListener = std::function<void(TaskId, TaskState)>;
 
   Engine(TaskGraph& graph, const cluster::ClusterSpec& spec, EngineOptions options,
@@ -302,10 +302,6 @@ class Engine : private CandidateSource {
   bool all_terminal() const;
   std::size_t ready_count() const { return ready_total_; }
   std::size_t running_count() const { return running_; }
-  /// Completion-order stamps issued so far: moves exactly when some task
-  /// turns terminal, so a wait predicate can skip rescanning its futures
-  /// while it stands still.
-  std::uint64_t terminal_seq() const { return terminal_seq_; }
   /// Ready-queue entries schedule() has examined so far (walked, popped or
   /// compacted, stale ones included). A cost statistic for tests and
   /// benchmarks: divided by the tasks placed it must not grow with the

@@ -49,7 +49,7 @@ struct TaskRecord {
   /// A StragglerDetected event was already recorded (emit it once).
   bool straggler_flagged = false;
   /// Completion-order stamp (1-based); 0 while the task is not yet
-  /// terminal. wait_any uses it to pick the *first* finisher.
+  /// terminal. Runtime::track reads it to queue an already-terminal task.
   std::uint64_t terminal_seq = 0;
   /// Attempt number (1-based) of the attempt whose outputs were committed.
   /// Lineage recovery replays this attempt so injected-failure draws and
@@ -67,8 +67,8 @@ struct TaskRecord {
   /// stamp doesn't match is stale (the task left and possibly re-entered
   /// the ready set since it was queued).
   std::uint32_t ready_epoch = 0;
-  /// A wait_on / wait_any returned this task's future: to_dot draws its
-  /// edge into the "sync" node (Figure 3).
+  /// A wait_on / next_completion returned this task's future: to_dot draws
+  /// its edge into the "sync" node (Figure 3).
   bool synced = false;
   /// Runtime::release_study freed this terminal task's closures (body,
   /// cost, variant bodies). It can never run again, so lineage recovery

@@ -1,7 +1,5 @@
 #include "runtime/runtime.hpp"
 
-#include <algorithm>
-
 #include "runtime/study_session.hpp"
 #include "runtime/thread_backend.hpp"
 #include "support/log.hpp"
@@ -157,7 +155,6 @@ void Runtime::study_barrier(StudyId study) {
 }
 
 void Runtime::on_task_terminal(TaskId task, TaskState state) {
-  if (completions_enabled_) completions_.push_back(task);
   // Notifications fire in terminal_seq order. A task tracked after it
   // turned terminal, but before its notification fired, is queued already.
   if (tracked_.contains(task) && (tracked_done_.empty() || tracked_done_.back() != task))
@@ -178,20 +175,6 @@ void Runtime::on_task_terminal(TaskId task, TaskState state) {
   // can move when the graph grows.
   const Future result = graph_.task(task).result;
   callback(result, state);
-}
-
-std::vector<TaskId> Runtime::drain_completions() {
-  completions_enabled_ = true;  // recording is opt-in from the first call
-  std::vector<TaskId> drained(completions_.begin(), completions_.end());
-  completions_.clear();
-  return drained;
-}
-
-Future Runtime::submit_in(const TaskDef& def, const std::vector<DataId>& inputs) {
-  std::vector<Param> params;
-  params.reserve(inputs.size());
-  for (DataId d : inputs) params.push_back(Param{.data = d, .dir = Direction::In});
-  return submit(def, params);
 }
 
 std::any Runtime::wait_on(const Future& future) {
@@ -244,10 +227,6 @@ Future Runtime::next_completion(double deadline) {
   const TaskId task = tracked_done_.front();
   tracked_done_.pop_front();
   tracked_.erase(task);
-  return deliver(task);
-}
-
-Future Runtime::deliver(TaskId task) {
   TaskRecord& record = graph_.task(task);
   record.synced = true;
   sink_.record(trace::Event{.kind = trace::EventKind::WaitAny,
@@ -256,56 +235,6 @@ Future Runtime::deliver(TaskId task) {
                             .t_start = backend_->now(),
                             .t_end = backend_->now()});
   return record.result;
-}
-
-Future Runtime::wait_any(std::span<const Future> futures) {
-  return wait_first(futures, "wait_any", /*deadline=*/-1.0);
-}
-
-Future Runtime::wait_any_for(std::span<const Future> futures, double seconds) {
-  return wait_first(futures, "wait_any_for", backend_->now() + seconds);
-}
-
-Future Runtime::wait_first(std::span<const Future> futures, const char* caller, double deadline) {
-  if (futures.empty()) throw std::invalid_argument(std::string(caller) + ": no futures");
-  for (const Future& f : futures)
-    if (f.producer == kNoTask) throw std::invalid_argument(std::string(caller) + ": empty future");
-  EngineContextScope ctx(g_engine_ctx);
-
-  // Pick the candidate that turned terminal first; drive the backend only
-  // when none has yet.
-  auto first_finished = [&]() -> const Future* {
-    const Future* winner = nullptr;
-    std::uint64_t best_seq = 0;
-    for (const Future& f : futures) {
-      const std::uint64_t seq = graph_.task(f.producer).terminal_seq;
-      if (seq == 0) continue;
-      if (winner == nullptr || seq < best_seq) {
-        winner = &f;
-        best_seq = seq;
-      }
-    }
-    return winner;
-  };
-
-  const Future* winner = first_finished();
-  if (winner == nullptr) {
-    // The drive loop evaluates this after every event; the futures only
-    // need a rescan once some task has turned terminal since the last one.
-    std::uint64_t seen = engine_.terminal_seq();
-    backend_->drive(
-        [&] {
-          if (engine_.terminal_seq() == seen) return false;
-          seen = engine_.terminal_seq();
-          return std::any_of(futures.begin(), futures.end(),
-                             [&](const Future& f) { return engine_.task_terminal(f.producer); });
-        },
-        deadline);
-    winner = first_finished();
-  }
-  if (winner == nullptr) return Future{};  // timed out; nothing terminal
-  deliver(winner->producer);
-  return *winner;
 }
 
 StudyProgress Runtime::study_progress(StudyId study) const {
@@ -363,37 +292,6 @@ void Runtime::barrier() {
   // quiescent, not just all_terminal: a barrier also waits out pending
   // lineage recoveries, so data lost to a node death is recomputed first.
   backend_->drive([this] { return engine_.quiescent(); });
-}
-
-Future Runtime::submit_in_group(const std::string& group, const TaskDef& def,
-                                const std::vector<Param>& params) {
-  const Future future = submit(def, params);
-  groups_[group].push_back(future.producer);
-  return future;
-}
-
-void Runtime::barrier_group(const std::string& group) {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) return;
-  EngineContextScope ctx(g_engine_ctx);
-  // Tasks never leave a terminal state, so the scan resumes where the last
-  // evaluation stopped: linear in the group over the whole wait.
-  std::size_t next = 0;
-  backend_->drive([this, &tasks = it->second, &next] {
-    while (next < tasks.size() && engine_.task_terminal(tasks[next])) ++next;
-    return next == tasks.size();
-  });
-  sink_.record(trace::Event{.kind = trace::EventKind::Sync,
-                            .t_start = backend_->now(),
-                            .t_end = backend_->now()});
-}
-
-bool Runtime::group_succeeded(const std::string& group) const {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) return true;
-  for (TaskId task : it->second)
-    if (graph_.task(task).state != TaskState::Done) return false;
-  return true;
 }
 
 std::size_t Runtime::add_node(const cluster::NodeSpec& node) {

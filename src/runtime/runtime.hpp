@@ -26,7 +26,6 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -56,8 +55,11 @@ class TaskFailedError : public std::runtime_error {
 /// Parameters of open_study(): a label for traces/reports plus the study's
 /// scheduling policy at the engine's fair-share seam.
 struct StudyOptions {
-  std::string name;     ///< label carried into trace events and reports
-  double weight = 1.0;  ///< fair-share weight between concurrent studies
+  std::string name;  ///< label carried into trace events and reports
+  /// Fair-share weight between concurrent studies. Only the `fifo`
+  /// scheduler reads it today: `priority` (the default), `locality` and
+  /// `cost-aware` serve every study's tasks in (priority, id) order.
+  double weight = 1.0;
   int max_running = 0;  ///< cap on concurrently running tasks; 0 = unlimited
 };
 
@@ -170,12 +172,9 @@ class Runtime {
   Future submit(const TaskDef& def, const std::vector<Param>& params = {});
 
   /// Like submit(), with a completion callback fired when the task turns
-  /// terminal (the push half of the completion-driven API; wait_any is the
-  /// pull half).
+  /// terminal (the push half of the completion-driven API; track +
+  /// next_completion is the pull half).
   Future submit(const TaskDef& def, const std::vector<Param>& params, CompletionCallback on_complete);
-
-  /// Convenience: submit with IN-only data ids.
-  Future submit_in(const TaskDef& def, const std::vector<DataId>& inputs);
 
   /// Submit a whole wave of tasks in one engine round-trip: one coordinator
   /// context acquisition, one admission pass and one notification flush for
@@ -190,18 +189,6 @@ class Runtime {
   /// Jobs a pool worker took from another worker's queue (thread backend
   /// only; always 0 on the simulator). Monitoring/tests.
   std::uint64_t worker_steals() const { return backend_->steals(); }
-
-  /// COMPSs task groups: submit under a named group, then barrier on just
-  /// that group (a partial compss_barrier_group).
-  Future submit_in_group(const std::string& group, const TaskDef& def,
-                         const std::vector<Param>& params = {});
-
-  /// Block until every task of `group` is terminal. No-op for unknown
-  /// groups (nothing was submitted under that name).
-  void barrier_group(const std::string& group);
-
-  /// After barrier_group: true iff every task in the group is Done.
-  bool group_succeeded(const std::string& group) const;
 
   /// Elastic growth: add a node to the cluster mid-run. Queued tasks can be
   /// placed on it immediately; the trace gains a resource from this point.
@@ -233,28 +220,6 @@ class Runtime {
     return std::any_cast<T>(wait_on(future));
   }
 
-  /// Completion-driven wait: block until at least one of `futures` reaches
-  /// a terminal state and return the *first* one to have done so (by
-  /// completion order, not submission order). Unlike wait_on it does not
-  /// throw on task failure — follow up with wait_on on the returned future
-  /// to fetch the value or the error. Throws std::invalid_argument on an
-  /// empty span or empty futures.
-  Future wait_any(std::span<const Future> futures);
-  Future wait_any(const std::vector<Future>& futures) {
-    return wait_any(std::span<const Future>(futures));
-  }
-
-  /// Bounded wait_any: drive the runtime until one of `futures` turns
-  /// terminal or `seconds` (wall or virtual) elapse, whichever is first.
-  /// On timeout the returned Future is empty (producer == kNoTask) and no
-  /// WaitAny trace event is recorded. This is the service front-end's
-  /// building block: it interleaves engine progress with request handling
-  /// so a long trial never blocks the control plane.
-  Future wait_any_for(std::span<const Future> futures, double seconds);
-  Future wait_any_for(const std::vector<Future>& futures, double seconds) {
-    return wait_any_for(std::span<const Future>(futures), seconds);
-  }
-
   /// Bounded barrier: drive the runtime for at most `seconds` (wall or
   /// virtual, matching the backend clock). Returns true iff every
   /// submitted task is terminal.
@@ -276,18 +241,15 @@ class Runtime {
   void track(const Future& future);
 
   /// Pop the queue's front, driving the backend until it is non-empty or
-  /// `deadline` (backend clock; < 0 = none) passes. The task is marked
-  /// synced with a WaitAny event, like a wait_any winner; a timeout
-  /// returns an empty Future. Throws std::invalid_argument when nothing is
-  /// tracked.
+  /// `deadline` (backend clock; < 0 = none) passes: the completion-driven
+  /// wait ("act on the first trial that finishes"). The task is marked
+  /// synced with a WaitAny event. It is returned whether it succeeded,
+  /// failed or was cancelled by a failed predecessor: follow up with
+  /// wait_on to fetch the value or the error. A timeout returns an empty
+  /// Future (producer == kNoTask) and records no event; this is how the
+  /// service front-end interleaves engine progress with request handling.
+  /// Throws std::invalid_argument when nothing is tracked.
   Future next_completion(double deadline = -1.0);
-
-  /// Tasks that reached a terminal state since the last drain, in
-  /// completion order — the runtime-level completion queue both backends
-  /// publish into. Recording is opt-in: it starts at the first call (which
-  /// therefore returns empty), so callers that never drain don't pay an
-  /// ever-growing queue.
-  std::vector<TaskId> drain_completions();
 
   /// compss_barrier: run every submitted task to a terminal state.
   void barrier();
@@ -349,13 +311,6 @@ class Runtime {
   /// Block until every task of `study` is terminal. Throws if the study is
   /// paused with held ready tasks and nothing else can make progress.
   void study_barrier(StudyId study);
-  /// Shared body of wait_any / wait_any_for: the first of `futures` to
-  /// have turned terminal, driving the backend up to `deadline` (< 0 =
-  /// none) when none has yet; an empty Future on timeout. `caller` names
-  /// the public entry point in argument errors.
-  Future wait_first(std::span<const Future> futures, const char* caller, double deadline);
-  /// Hand `task` to a waiter: mark it synced and record the WaitAny event.
-  Future deliver(TaskId task);
 
   RuntimeOptions options_;
   DataRegistry registry_;
@@ -363,16 +318,10 @@ class Runtime {
   trace::TraceSink sink_;
   Engine engine_;
   std::unique_ptr<Backend> backend_;
-  std::map<std::string, std::vector<TaskId>> groups_;
-  /// Terminal notifications not yet consumed via drain_completions().
-  /// Only touched from the coordinator thread (the engine's threading
-  /// contract), so it needs no lock. Populated only once a caller has
-  /// opted in by draining (completions_enabled_), so non-draining callers
-  /// don't accumulate one entry per task forever.
-  std::deque<TaskId> completions_;
-  bool completions_enabled_ = false;
   /// Tracked tasks not yet delivered or cancelled, and the terminal ones
-  /// among them in arrival order: the queue next_completion() pops.
+  /// among them in arrival order: the queue next_completion() pops. Only
+  /// touched from the coordinator thread (the engine's threading
+  /// contract), so they need no lock.
   std::unordered_set<TaskId> tracked_;
   std::deque<TaskId> tracked_done_;
   std::map<TaskId, CompletionCallback> callbacks_;

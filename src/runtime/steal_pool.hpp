@@ -1,7 +1,7 @@
 // Sharded work-stealing executor for the threaded backend's dispatch path.
 //
-// ThreadPool funnels every job through one mutex-guarded deque and a
-// std::function allocation per submit; under a task storm that single lock
+// A single-queue pool funnels every job through one mutex-guarded deque and
+// a std::function allocation per submit; under a task storm that single lock
 // and those per-dispatch allocations dominate the hot path. StealPool keeps
 // one queue per worker — dispatches shard by placement node, so a node's
 // tasks land together — and lets an idle worker steal from the back of any

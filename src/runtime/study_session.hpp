@@ -17,7 +17,6 @@
 #pragma once
 
 #include <any>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -41,12 +40,6 @@ class StudySession {
   Future submit(const TaskDef& def, const std::vector<Param>& params,
                 Runtime::CompletionCallback on_complete) {
     return runtime_->submit_study(id_, def, params, std::move(on_complete));
-  }
-  Future submit_in(const TaskDef& def, const std::vector<DataId>& inputs) {
-    std::vector<Param> params;
-    params.reserve(inputs.size());
-    for (DataId d : inputs) params.push_back(Param{.data = d, .dir = Direction::In});
-    return submit(def, params);
   }
 
   /// Submit a wave of tasks tagged with this study in one engine
@@ -79,12 +72,6 @@ class StudySession {
   template <typename T>
   T wait_on_as(const Future& future) {
     return runtime_->wait_on_as<T>(future);
-  }
-  Future wait_any(std::span<const Future> futures) { return runtime_->wait_any(futures); }
-  Future wait_any(const std::vector<Future>& futures) { return runtime_->wait_any(futures); }
-  /// Bounded wait: empty Future (producer == kNoTask) on timeout.
-  Future wait_any_for(const std::vector<Future>& futures, double seconds) {
-    return runtime_->wait_any_for(futures, seconds);
   }
 
   /// Per-state task counts of this study (service status snapshots).

@@ -59,6 +59,8 @@ struct StudySpec {
   hpo::HalvingOptions halving;      ///< knobs when algorithm == "halving"
   hpo::HyperbandOptions hyperband;  ///< knobs when algorithm == "hyperband"
   /// Engine fair-share weight and concurrent-task quota (see StudyPolicy).
+  /// The weight only shapes placement under the `fifo` scheduler (see
+  /// rt::StudyOptions::weight); the quota holds under every scheduler.
   double weight = 1.0;
   int max_running = 0;
 };

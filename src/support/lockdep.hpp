@@ -82,8 +82,6 @@ inline constexpr LockClass kBackendCompletions{"runtime.completions", 40};
 inline constexpr LockClass kStealShard{"runtime.steal_shard", 50};
 /// StealPool park/wake epoch (taken after the shard lock is dropped).
 inline constexpr LockClass kStealPark{"runtime.steal_park", 60};
-/// Generic support::ThreadPool queue (parallel_for helpers).
-inline constexpr LockClass kThreadPool{"support.thread_pool", 70};
 /// FaultInjector rng + forced-failure table (hit from worker bodies).
 inline constexpr LockClass kFaultInjector{"runtime.fault", 80};
 /// DataRegistry version table (readers in bodies, writer on coordinator).

@@ -31,7 +31,7 @@ enum class EventKind : std::uint8_t {
   TaskRetry,     ///< point: runtime relaunched a failed task
   NodeDown,      ///< point: a node was lost
   Sync,          ///< point: wait_on barrier reached
-  WaitAny,       ///< point: wait_any returned (task_id = the winner)
+  WaitAny,       ///< point: next_completion delivered task_id
   Cancel,        ///< point: caller cancelled the task (early stop)
   StragglerDetected,  ///< point: a running attempt crossed the straggler threshold
   SpeculativeLaunch,  ///< point: duplicate attempt launched on another node

@@ -7,10 +7,11 @@
 //   2. no dependent's body observes a predecessor that has not finished,
 //      and every committed value a body reads is the producer's (no torn
 //      or stale versions — INOUT chains advance monotonically);
-//   3. a wait_any consumption loop yields tasks in completion order
-//      (strictly increasing terminal_seq);
+//   3. consuming the tracked-completion queue yields tasks in completion
+//      order (strictly increasing terminal_seq), every tracked task the
+//      driver did not cancel exactly once;
 //   4. no completion is lost or delivered twice — per-task callbacks fire
-//      exactly once and drain_completions reports each task exactly once;
+//      exactly once each, in completion order;
 //   5. every datum consumed after a node loss has at least one live
 //      location at read time (lineage recovery recommitted it before any
 //      consumer ran) — the engine counts violations at dispatch.
@@ -127,8 +128,8 @@ void run_chaos(std::uint64_t seed, bool simulate) {
   // Callback-captured state outlives the Runtime: on an early exit its
   // destructor's final barrier still fires the completion callbacks.
   std::vector<std::atomic<int>> fires(kTasks);
+  std::vector<TaskId> reported;  // callback order (coordinator thread only)
   Runtime runtime(std::move(opts));
-  (void)runtime.drain_completions();  // opt in to completion recording
 
   std::vector<DataId> counters;
   for (int c = 0; c < kChains; ++c) counters.push_back(runtime.share<int>(0));
@@ -178,35 +179,37 @@ void run_chaos(std::uint64_t seed, bool simulate) {
       state->body_finished[std::size_t(i)].store(true);
       return std::any(i);
     };
-    futures.push_back(runtime.submit(def, params, [&fires](const Future& f, TaskState) {
+    futures.push_back(runtime.submit(def, params, [&fires, &reported](const Future& f, TaskState) {
       ++fires[std::size_t(f.producer)];
+      reported.push_back(f.producer);
     }));
+    runtime.track(futures.back());
   }
 
+  // Cancelling untracks: the victims are never delivered (their dependents,
+  // cancelled by the engine, still are).
   for (const TaskId victim : plan.cancels) runtime.cancel(futures[std::size_t(victim)]);
+  const std::set<TaskId> victims(plan.cancels.begin(), plan.cancels.end());
 
-  // Invariant 3: consuming everything through wait_any yields strictly
-  // increasing terminal_seq (completion order), with occasional drains
-  // interleaved to stress the completion queue.
-  std::vector<TaskId> drained;
-  std::vector<Future> remaining = futures;
+  // Invariant 3: consuming the tracked queue yields strictly increasing
+  // terminal_seq (completion order) and every non-victim exactly once.
+  std::vector<TaskId> delivered;
   std::uint64_t last_seq = 0;
-  while (!remaining.empty()) {
-    const Future done = runtime.wait_any(remaining);
+  while (delivered.size() < std::size_t(kTasks) - victims.size()) {
+    const Future done = runtime.next_completion();
     const std::uint64_t seq = runtime.graph().task(done.producer).terminal_seq;
-    EXPECT_GT(seq, last_seq) << "wait_any returned task " << done.producer << " out of order";
+    EXPECT_GT(seq, last_seq) << "next_completion returned task " << done.producer
+                             << " out of order";
     last_seq = seq;
-    remaining.erase(std::find_if(remaining.begin(), remaining.end(), [&](const Future& f) {
-      return f.producer == done.producer;
-    }));
-    if (remaining.size() % 7 == 0) {
-      const std::vector<TaskId> batch = runtime.drain_completions();
-      drained.insert(drained.end(), batch.begin(), batch.end());
-    }
+    delivered.push_back(done.producer);
   }
+  EXPECT_THROW(runtime.next_completion(), std::invalid_argument) << "victims still tracked";
   runtime.barrier();
-  const std::vector<TaskId> batch = runtime.drain_completions();
-  drained.insert(drained.end(), batch.begin(), batch.end());
+  std::sort(delivered.begin(), delivered.end());
+  std::vector<TaskId> expected_delivered;
+  for (int i = 0; i < kTasks; ++i)
+    if (!victims.contains(TaskId(i))) expected_delivered.push_back(TaskId(i));
+  EXPECT_EQ(delivered, expected_delivered);
 
   // Invariant 1: one terminal state each; terminal_seq is a permutation.
   std::set<std::uint64_t> seqs;
@@ -249,13 +252,14 @@ void run_chaos(std::uint64_t seed, bool simulate) {
     EXPECT_GE(node_down, 1);
   }
 
-  // Invariant 4: every task delivered exactly once, via both channels.
-  std::sort(drained.begin(), drained.end());
-  ASSERT_EQ(drained.size(), std::size_t(kTasks)) << "completions lost or duplicated";
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(drained[std::size_t(i)], TaskId(i));
+  // Invariant 4: every task's callback fired exactly once, in completion
+  // order.
+  ASSERT_EQ(reported.size(), std::size_t(kTasks)) << "completions lost or duplicated";
+  for (std::size_t k = 1; k < reported.size(); ++k)
+    EXPECT_LT(runtime.graph().task(reported[k - 1]).terminal_seq,
+              runtime.graph().task(reported[k]).terminal_seq);
+  for (int i = 0; i < kTasks; ++i)
     EXPECT_EQ(fires[std::size_t(i)].load(), 1) << "callback count for task " << i;
-  }
 }
 
 class ChaosTest : public testing::TestWithParam<std::tuple<int, bool>> {};

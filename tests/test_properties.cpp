@@ -649,8 +649,9 @@ TEST(SpeculationProperties, DuplicateNeverPlacedOnBlacklistedOrOriginalNode) {
 // on both backends — every task reaches exactly one terminal state (the
 // terminal_seq stamps form a permutation), no body observes an
 // unfinished predecessor or a value other than its committed result,
-// wait_any yields strictly increasing completion order, and completions
-// deliver exactly once through both channels (callbacks and drains).
+// the tracked-completion queue yields strictly increasing completion
+// order, and completions deliver exactly once through both channels (the
+// queue and per-task callbacks).
 // ---------------------------------------------------------------------
 
 class BatchDeterminism : public ::testing::TestWithParam<std::uint64_t> {};
@@ -667,6 +668,7 @@ TEST_P(BatchDeterminism, ChaosInvariantsHoldOnBothBackends) {
     auto order_violations = std::make_shared<std::atomic<int>>(0);
     auto data_violations = std::make_shared<std::atomic<int>>(0);
     std::vector<std::atomic<int>> fires(kN);
+    std::vector<rt::TaskId> reported;  // callback order (coordinator thread only)
 
     RuntimeOptions opts;
     cluster::NodeSpec node;
@@ -675,7 +677,6 @@ TEST_P(BatchDeterminism, ChaosInvariantsHoldOnBothBackends) {
     opts.simulate = simulate;
     opts.seed = GetParam();
     Runtime runtime(std::move(opts));
-    (void)runtime.drain_completions();  // opt in to completion recording
 
     Rng rng(GetParam() * 17 + 3);
     std::vector<Future> futures;
@@ -710,35 +711,30 @@ TEST_P(BatchDeterminism, ChaosInvariantsHoldOnBothBackends) {
           (*finished)[static_cast<std::size_t>(id)].store(true);
           return std::any(id);
         };
-        item.on_complete = [&fires](const Future& f, rt::TaskState) {
+        item.on_complete = [&fires, &reported](const Future& f, rt::TaskState) {
           ++fires[static_cast<std::size_t>(f.producer)];
+          reported.push_back(f.producer);
         };
         items.push_back(std::move(item));
       }
       const std::vector<Future> wave_futures = runtime.submit_batch(std::move(items));
+      for (const Future& f : wave_futures) runtime.track(f);
       futures.insert(futures.end(), wave_futures.begin(), wave_futures.end());
     }
 
-    // Chaos invariant 3: wait_any consumption yields completion order.
-    std::vector<rt::TaskId> drained;
-    std::vector<Future> remaining = futures;
+    // Chaos invariant 3: the tracked queue yields completion order.
+    std::vector<rt::TaskId> delivered;
     std::uint64_t last_seq = 0;
-    while (!remaining.empty()) {
-      const Future done = runtime.wait_any(remaining);
+    while (delivered.size() < std::size_t(kN)) {
+      const Future done = runtime.next_completion();
       const std::uint64_t seq = runtime.graph().task(done.producer).terminal_seq;
-      EXPECT_GT(seq, last_seq) << "wait_any returned task " << done.producer << " out of order";
+      EXPECT_GT(seq, last_seq) << "next_completion returned task " << done.producer
+                               << " out of order";
       last_seq = seq;
-      remaining.erase(std::find_if(remaining.begin(), remaining.end(), [&](const Future& f) {
-        return f.producer == done.producer;
-      }));
-      if (remaining.size() % 7 == 0) {
-        const std::vector<rt::TaskId> chunk = runtime.drain_completions();
-        drained.insert(drained.end(), chunk.begin(), chunk.end());
-      }
+      delivered.push_back(done.producer);
     }
+    EXPECT_THROW(runtime.next_completion(), std::invalid_argument);
     runtime.barrier();
-    const std::vector<rt::TaskId> tail = runtime.drain_completions();
-    drained.insert(drained.end(), tail.begin(), tail.end());
 
     // Chaos invariant 1: one terminal state each, terminal_seq permutation.
     std::set<std::uint64_t> seqs;
@@ -756,11 +752,13 @@ TEST_P(BatchDeterminism, ChaosInvariantsHoldOnBothBackends) {
     EXPECT_EQ(order_violations->load(), 0);
     EXPECT_EQ(data_violations->load(), 0);
 
-    // Chaos invariant 4: every completion delivered exactly once.
-    std::sort(drained.begin(), drained.end());
-    ASSERT_EQ(drained.size(), std::size_t(kN)) << "completions lost or duplicated";
+    // Chaos invariant 4: every completion delivered exactly once, through
+    // the queue and through the callbacks alike.
+    ASSERT_EQ(reported.size(), std::size_t(kN)) << "completions lost or duplicated";
+    EXPECT_EQ(reported, delivered) << "callbacks and the queue disagree on completion order";
+    std::sort(delivered.begin(), delivered.end());
     for (int i = 0; i < kN; ++i) {
-      EXPECT_EQ(drained[std::size_t(i)], rt::TaskId(i));
+      EXPECT_EQ(delivered[std::size_t(i)], rt::TaskId(i));
       EXPECT_EQ(fires[std::size_t(i)].load(), 1) << "callback count for task " << i;
     }
   }
@@ -840,12 +838,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchVsSequential, ::testing::Range<std::uint64_
 // every engine duty and every kind of wait the drive loop serves — random
 // task failures, timeouts, backoff retries, speculation, a scheduled node
 // outage, kill_node/revive_node, input staging and lineage recovery,
-// pause/resume, cancellation, group and study barriers, wait_on/wait_any
-// and bounded wait_any_for/wait_all_for deadlines (zero budgets included). Each program's trace (kind, task,
-// study, attempt, node, cores, start/end to 1 ns) and every wait's answer
-// and clock reading fold into one FNV-1a hash. The tests above compare
-// two paths of one build; this constant pins the schedules themselves, so
-// a change that shifts both paths at once still shows.
+// pause/resume, cancellation, study barriers and progress, wait_on, the
+// tracked-completion queue (unbounded and bounded next_completion) and
+// wait_all_for deadlines (zero budgets included). Each program's trace
+// (kind, task, study, attempt, node, cores, start/end to 1 ns) and every
+// wait's answer and clock reading fold into one FNV-1a hash. The tests
+// above compare two paths of one build; this constant pins the schedules
+// themselves, so a change that shifts both paths at once still shows.
 // ---------------------------------------------------------------------
 
 struct ScheduleHash {
@@ -887,15 +886,24 @@ void run_golden_program(std::uint64_t seed, ScheduleHash& hash) {
   Runtime runtime(std::move(opts));
   rt::StudySession main = runtime.main_study();
   rt::StudySession side = runtime.open_study({.name = "side", .weight = 2.0});
+  // A study session is the task group: its barrier and progress stand in
+  // for compss_barrier_group and the group's outcome.
+  rt::StudySession group = runtime.open_study({.name = "group"});
 
   const auto note_wait = [&](rt::TaskId producer) {
     hash.add(producer);
     hash.add_time(runtime.now());
   };
+  // Track the picks, then pop the runtime-wide queue: the front may be a
+  // task tracked by an earlier pick. Never called with nothing tracked.
+  const auto next_of = [&](rt::StudySession& study, const std::vector<Future>& pick,
+                           double deadline) {
+    for (const Future& f : pick) study.track(f);
+    return study.next_completion(deadline).producer;
+  };
   std::vector<Future> futures;
   std::vector<bool> killed(nodes, false);
   for (int round = 0; round < 6; ++round) {
-    const std::string group = "g" + std::to_string(round % 2);
     const int wave = static_cast<int>(rng.next_int(3, 8));
     for (int i = 0; i < wave; ++i) {
       TaskDef def;
@@ -916,7 +924,7 @@ void run_golden_program(std::uint64_t seed, ScheduleHash& hash) {
       else if (target == 1)
         futures.push_back(side.submit(def, params));
       else
-        futures.push_back(runtime.submit_in_group(group, def, params));
+        futures.push_back(group.submit(def, params));
     }
     for (int op = 0; op < 3; ++op) {
       std::vector<Future> pick;
@@ -924,9 +932,9 @@ void run_golden_program(std::uint64_t seed, ScheduleHash& hash) {
       const double budget = rng.next_bool(0.2) ? 0.0 : rng.next_uniform(0.0, 4.0);
       try {
         switch (rng.next_int(0, 10)) {
-          case 0: note_wait(runtime.wait_any_for(pick, budget).producer); break;
+          case 0: note_wait(next_of(main, pick, runtime.now() + budget)); break;
           case 1: note_wait(runtime.wait_all_for(budget) ? 1 : 0); break;
-          case 2: note_wait(runtime.wait_any(pick).producer); break;
+          case 2: note_wait(next_of(main, pick, -1.0)); break;
           case 3:
             runtime.wait_on(pick[0]);
             note_wait(pick[0].producer);
@@ -948,16 +956,18 @@ void run_golden_program(std::uint64_t seed, ScheduleHash& hash) {
               }
             break;
           case 6: side.paused() ? side.resume() : side.pause(); break;
-          case 7:
-            runtime.barrier_group(group);
-            note_wait(runtime.group_succeeded(group) ? 1 : 0);
+          case 7: {
+            group.barrier();
+            const rt::StudyProgress progress = group.progress();
+            note_wait(progress.done == progress.total ? 1 : 0);
             break;
+          }
           case 8:
             side.barrier();
             note_wait(side.progress().terminal());
             break;
           case 9: note_wait(runtime.cancel(pick[0]) ? 1 : 0); break;
-          default: note_wait(side.wait_any_for(pick, budget).producer); break;
+          default: note_wait(next_of(side, pick, side.now() + budget)); break;
         }
       } catch (const rt::TaskFailedError& e) {
         note_wait(e.task() + 1000000);
@@ -990,7 +1000,7 @@ TEST(GoldenSchedules, SimulatorSchedulesMatchThePinnedHash) {
   ScheduleHash hash;
   for (std::uint64_t seed = 0; seed < 60; ++seed) run_golden_program(seed, hash);
   set_log_level(before);
-  EXPECT_EQ(hash.value, 2555243950870406634ULL) << "simulated schedules changed";
+  EXPECT_EQ(hash.value, 397118914868973450ULL) << "simulated schedules changed";
 }
 
 // ---------------------------------------------------------------------
@@ -1068,10 +1078,12 @@ void run_scheduler_matrix_program(const std::string& scheduler, std::uint64_t se
       const Future pick = futures[rng.next_index(futures.size())];
       try {
         switch (rng.next_int(0, 6)) {
-          case 0:
-            note(runtime.wait_any_for(std::vector<Future>{pick}, rng.next_uniform(0.0, 3.0))
-                     .producer);
+          case 0: {
+            const double budget = rng.next_uniform(0.0, 3.0);
+            runtime.track(pick);
+            note(runtime.next_completion(runtime.now() + budget).producer);
             break;
+          }
           case 1: note(runtime.wait_all_for(rng.next_uniform(0.0, 3.0)) ? 1 : 0); break;
           case 2: {
             rt::StudySession& study = studies[1 + rng.next_index(studies.size() - 1)];
@@ -1130,7 +1142,7 @@ TEST(GoldenSchedules, SchedulerMatrixMatchesThePinnedHash) {
     for (std::uint64_t seed = 0; seed < 16; ++seed)
       run_scheduler_matrix_program(scheduler, seed, hash);
   set_log_level(before);
-  EXPECT_EQ(hash.value, 10501457594518716786ULL) << "simulated schedules changed";
+  EXPECT_EQ(hash.value, 10956210007677439803ULL) << "simulated schedules changed";
 }
 
 

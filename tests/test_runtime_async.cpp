@@ -1,6 +1,6 @@
-// Completion-driven runtime API: wait_any, wait_all_for, cancel,
-// per-submit completion callbacks and the tracked-completion queue, on
-// both backends.
+// Completion-driven runtime API: the tracked-completion queue (track /
+// next_completion), wait_all_for, cancel and per-submit completion
+// callbacks, on both backends.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -40,46 +40,49 @@ TaskDef timed(std::string name, double seconds, Constraint c = {.cpus = 1}) {
   return def;
 }
 
-TEST(WaitAny, SimReturnsCompletionsOutOfSubmissionOrder) {
-  // Skewed durations, submitted longest-first: wait_any must hand them
-  // back shortest-first (completion order), not submission order.
+/// Track every future in `futures`, in order.
+void track_all(Runtime& runtime, const std::vector<Future>& futures) {
+  for (const Future& f : futures) runtime.track(f);
+}
+
+std::size_t wait_any_events(const Runtime& runtime) {
+  std::size_t n = 0;
+  for (const auto& e : runtime.trace().events())
+    if (e.kind == trace::EventKind::WaitAny) ++n;
+  return n;
+}
+
+TEST(NextCompletion, SimReturnsCompletionsOutOfSubmissionOrder) {
+  // Skewed durations, submitted longest-first: the tracked queue must hand
+  // them back shortest-first (completion order), not submission order.
   Runtime runtime(sim_cluster(1, 4));
   std::vector<Future> futures;
   for (const double seconds : {40.0, 30.0, 20.0, 10.0})
     futures.push_back(runtime.submit(timed("skew", seconds)));
+  track_all(runtime, futures);
 
   std::vector<TaskId> completion_order;
-  std::vector<Future> remaining = futures;
-  while (!remaining.empty()) {
-    const Future done = runtime.wait_any(remaining);
-    completion_order.push_back(done.producer);
-    remaining.erase(std::remove_if(remaining.begin(), remaining.end(),
-                                   [&](const Future& f) { return f.producer == done.producer; }),
-                    remaining.end());
-  }
+  for (std::size_t i = 0; i < futures.size(); ++i)
+    completion_order.push_back(runtime.next_completion().producer);
   // Reverse submission order: the 10s task (submitted last) finishes first.
   const std::vector<TaskId> expected{futures[3].producer, futures[2].producer,
                                      futures[1].producer, futures[0].producer};
   EXPECT_EQ(completion_order, expected);
   EXPECT_DOUBLE_EQ(runtime.now(), 40.0);
-
   // The sync pattern is visible in the trace.
-  std::size_t wait_any_events = 0;
-  for (const auto& e : runtime.trace().events())
-    if (e.kind == trace::EventKind::WaitAny) ++wait_any_events;
-  EXPECT_EQ(wait_any_events, 4u);
+  EXPECT_EQ(wait_any_events(runtime), 4u);
 }
 
-TEST(WaitAny, SimStopsTheClockAtFirstCompletion) {
+TEST(NextCompletion, SimStopsTheClockAtFirstCompletion) {
   Runtime runtime(sim_cluster(1, 4));
   const Future slow = runtime.submit(timed("slow", 100.0));
   const Future fast = runtime.submit(timed("fast", 5.0));
-  const Future first = runtime.wait_any(std::vector<Future>{slow, fast});
-  EXPECT_EQ(first.producer, fast.producer);
+  track_all(runtime, {slow, fast});
+  EXPECT_EQ(runtime.next_completion().producer, fast.producer);
   EXPECT_DOUBLE_EQ(runtime.now(), 5.0);  // did not wait for the 100s task
 }
 
-TEST(WaitAny, ThreadBackendReturnsFastTaskFirst) {
+TEST(NextCompletion, ThreadBackendReturnsFastTaskFirst) {
   Runtime runtime(thread_cluster());
   TaskDef slow;
   slow.name = "slow";
@@ -95,21 +98,13 @@ TEST(WaitAny, ThreadBackendReturnsFastTaskFirst) {
   };
   const Future f_slow = runtime.submit(slow);
   const Future f_fast = runtime.submit(fast);
-  const Future first = runtime.wait_any(std::vector<Future>{f_slow, f_fast});
+  track_all(runtime, {f_slow, f_fast});
+  const Future first = runtime.next_completion();
   EXPECT_EQ(first.producer, f_fast.producer);
   EXPECT_EQ(runtime.wait_on_as<int>(first), 2);
 }
 
-TEST(WaitAny, AlreadyTerminalPicksFirstFinisher) {
-  Runtime runtime(sim_cluster(1, 4));
-  const Future a = runtime.submit(timed("a", 30.0));
-  const Future b = runtime.submit(timed("b", 10.0));
-  runtime.barrier();  // both terminal before anyone waits
-  const Future first = runtime.wait_any(std::vector<Future>{a, b});
-  EXPECT_EQ(first.producer, b.producer);  // b completed first
-}
-
-TEST(WaitAny, FailedTaskCountsAsCompletion) {
+TEST(NextCompletion, FailedTaskCountsAsCompletion) {
   RuntimeOptions opts = sim_cluster(1, 2);
   opts.fault_policy.max_attempts = 1;
   Runtime runtime(std::move(opts));
@@ -117,15 +112,23 @@ TEST(WaitAny, FailedTaskCountsAsCompletion) {
   boom.body = [](TaskContext&) -> std::any { throw std::runtime_error("kaput"); };
   const Future ok = runtime.submit(timed("ok", 50.0));
   const Future bad = runtime.submit(boom);
-  const Future first = runtime.wait_any(std::vector<Future>{ok, bad});
-  EXPECT_EQ(first.producer, bad.producer);  // wait_any itself does not throw
+  track_all(runtime, {ok, bad});
+  const Future first = runtime.next_completion();
+  EXPECT_EQ(first.producer, bad.producer);  // next_completion itself does not throw
   EXPECT_THROW(runtime.wait_on(first), TaskFailedError);
 }
 
-TEST(WaitAny, RejectsEmptyInput) {
+TEST(NextCompletion, ThrowsWhenNothingIsTracked) {
   Runtime runtime(sim_cluster());
-  EXPECT_THROW(runtime.wait_any(std::vector<Future>{}), std::invalid_argument);
-  EXPECT_THROW(runtime.wait_any(std::vector<Future>{Future{}}), std::invalid_argument);
+  EXPECT_THROW(runtime.next_completion(), std::invalid_argument);
+  EXPECT_THROW(runtime.track(Future{}), std::invalid_argument);
+  // Submitted but never tracked: still nothing to wait for.
+  const Future f = runtime.submit(timed("untracked", 1.0));
+  EXPECT_THROW(runtime.next_completion(), std::invalid_argument);
+  // Delivered tasks leave the queue.
+  runtime.track(f);
+  EXPECT_EQ(runtime.next_completion().producer, f.producer);
+  EXPECT_THROW(runtime.next_completion(), std::invalid_argument);
 }
 
 TEST(Cancel, PendingTaskCancelsWithoutTouchingResources) {
@@ -224,13 +227,14 @@ TEST(WaitAllFor, AdvancesExactlyToTheDeadline) {
 TEST(WaitAllFor, ZeroBudgetStartsNoWorkOnBothBackends) {
   // An already-expired deadline must not dispatch new tasks: the drive loop
   // checks its deadline before the scheduling round, for wait_all_for and
-  // wait_any_for alike.
+  // a bounded next_completion alike.
   for (const bool simulate : {true, false}) {
     SCOPED_TRACE(simulate ? "sim" : "threads");
     Runtime runtime(simulate ? sim_cluster(1, 4) : thread_cluster(2));
     const Future f = runtime.submit(timed("w", 10.0));
     EXPECT_FALSE(runtime.wait_all_for(0.0));
-    EXPECT_EQ(runtime.wait_any_for(std::vector<Future>{f}, 0.0).producer, kNoTask);
+    runtime.track(f);
+    EXPECT_EQ(runtime.next_completion(runtime.now()).producer, kNoTask);
     if (simulate) {
       EXPECT_DOUBLE_EQ(runtime.now(), 0.0);
     }
@@ -255,7 +259,7 @@ TEST(WaitAllFor, ThreadBackendHonoursWallDeadline) {
   EXPECT_TRUE(runtime.wait_all_for(30.0));
 }
 
-TEST(WaitAnyFor, PausedOnlyStudyTimesOutOnBothBackends) {
+TEST(NextCompletion, PausedOnlyStudyTimesOutOnBothBackends) {
   // The only outstanding task is held by a paused study: nothing runs and
   // nothing can be placed. A bounded wait must time out with an empty
   // future (the daemon's step slice relies on it), not report a deadlock.
@@ -265,12 +269,13 @@ TEST(WaitAnyFor, PausedOnlyStudyTimesOutOnBothBackends) {
     StudySession held = runtime.open_study({.name = "held"});
     held.pause();
     const Future f = held.submit(timed("held", 1.0));
+    held.track(f);
     const double before = runtime.now();
-    EXPECT_EQ(runtime.wait_any_for(std::vector<Future>{f}, 0.05).producer, kNoTask);
+    EXPECT_EQ(held.next_completion(before + 0.05).producer, kNoTask);
     EXPECT_GE(runtime.now() - before, 0.05 - 1e-9);
     EXPECT_EQ(held.progress().ready, 1u);
     held.resume();
-    EXPECT_EQ(runtime.wait_any_for(std::vector<Future>{f}, 30.0).producer, f.producer);
+    EXPECT_EQ(held.next_completion(runtime.now() + 30.0).producer, f.producer);
   }
 }
 
@@ -291,7 +296,8 @@ TEST(Deadlock, UnboundedWaitOnPausedOnlyStudyThrowsOnBothBackends) {
     } catch (const std::runtime_error& e) {
       messages.emplace_back(e.what());
     }
-    EXPECT_THROW(runtime.wait_any(std::vector<Future>{f}), std::runtime_error);
+    runtime.track(f);
+    EXPECT_THROW(runtime.next_completion(), std::runtime_error);
     EXPECT_EQ(held.progress().ready, 1u);
     held.resume();
     EXPECT_EQ(runtime.wait_on_as<int>(f), 1);
@@ -386,31 +392,6 @@ TEST(Callbacks, CallbackCancelsPendingWorkMidBarrier) {
     EXPECT_EQ(runtime.graph().task(f.producer).state, TaskState::Cancelled);
 }
 
-TEST(Completions, RecordingIsOptInViaFirstDrain) {
-  // Nothing is recorded before the first drain call, so callers that never
-  // drain (e.g. HpoDriver) don't accumulate an unbounded queue.
-  Runtime runtime(sim_cluster(1, 4));
-  runtime.submit(timed("a", 1.0));
-  runtime.barrier();
-  EXPECT_TRUE(runtime.drain_completions().empty());  // opts in
-  const Future b = runtime.submit(timed("b", 1.0));
-  runtime.barrier();
-  EXPECT_EQ(runtime.drain_completions(), std::vector<TaskId>{b.producer});
-}
-
-TEST(Completions, DrainReturnsTerminalTasksInCompletionOrder) {
-  Runtime runtime(sim_cluster(1, 4));
-  const Future a = runtime.submit(timed("a", 30.0));
-  const Future b = runtime.submit(timed("b", 10.0));
-  EXPECT_TRUE(runtime.drain_completions().empty());
-  runtime.barrier();
-  const std::vector<TaskId> drained = runtime.drain_completions();
-  const std::vector<TaskId> expected{b.producer, a.producer};
-  EXPECT_EQ(drained, expected);
-  EXPECT_TRUE(runtime.drain_completions().empty());  // consumed
-}
-
-
 // ---------------------------------------------------------------------------
 // Tracked-completion queue (track / next_completion), both backends
 // ---------------------------------------------------------------------------
@@ -429,13 +410,6 @@ TaskDef lasting(std::string name, int units) {
     return std::any(1);
   };
   return def;
-}
-
-std::size_t wait_any_events(const Runtime& runtime) {
-  std::size_t n = 0;
-  for (const auto& e : runtime.trace().events())
-    if (e.kind == trace::EventKind::WaitAny) ++n;
-  return n;
 }
 
 TEST(Completions, TrackedQueueDeliversTwoStudiesInTerminalOrder) {

@@ -1,10 +1,12 @@
-// Tests for task groups, elastic node growth, and the Chrome trace export.
+// Tests for study sessions as COMPSs task groups, elastic node growth, and
+// the Chrome trace export.
 #include <gtest/gtest.h>
 
 #include <fstream>
 
 #include "jsonlite/json.hpp"
 #include "runtime/runtime.hpp"
+#include "runtime/study_session.hpp"
 #include "trace/chrome_writer.hpp"
 
 namespace chpo::rt {
@@ -28,36 +30,49 @@ TaskDef timed(std::string name, double seconds) {
   return def;
 }
 
-TEST(TaskGroups, BarrierWaitsOnlyItsGroup) {
+// A PyCOMPSs TaskGroup maps to a study session: its barrier is the
+// group barrier and its progress tells whether every task succeeded.
+bool all_done(const StudySession& study) {
+  const StudyProgress progress = study.progress();
+  return progress.done == progress.total;
+}
+
+TEST(StudyAsTaskGroup, BarrierWaitsOnlyItsStudy) {
   Runtime runtime(sim(1, 4));
-  runtime.submit_in_group("phase1", timed("a", 10.0));
-  runtime.submit_in_group("phase1", timed("b", 20.0));
-  runtime.submit_in_group("phase2", timed("c", 100.0));
-  runtime.barrier_group("phase1");
+  StudySession phase1 = runtime.open_study({.name = "phase1"});
+  StudySession phase2 = runtime.open_study({.name = "phase2"});
+  phase1.submit(timed("a", 10.0));
+  phase1.submit(timed("b", 20.0));
+  phase2.submit(timed("c", 100.0));
+  phase1.barrier();
   // phase1 done at t=20; phase2 runs concurrently but we did not wait on it.
   EXPECT_GE(runtime.now(), 20.0);
   EXPECT_LT(runtime.now(), 100.0);
-  EXPECT_TRUE(runtime.group_succeeded("phase1"));
-  EXPECT_FALSE(runtime.group_succeeded("phase2"));  // still running
+  EXPECT_TRUE(all_done(phase1));
+  EXPECT_FALSE(all_done(phase2));  // still running
   runtime.barrier();
-  EXPECT_TRUE(runtime.group_succeeded("phase2"));
+  EXPECT_TRUE(all_done(phase2));
 }
 
-TEST(TaskGroups, UnknownGroupIsNoop) {
+TEST(StudyAsTaskGroup, EmptyStudyBarrierIsNoop) {
   Runtime runtime(sim(1, 2));
-  runtime.barrier_group("nothing");
-  EXPECT_TRUE(runtime.group_succeeded("nothing"));
+  StudySession nothing = runtime.open_study({.name = "nothing"});
+  nothing.barrier();
+  EXPECT_DOUBLE_EQ(runtime.now(), 0.0);
+  EXPECT_TRUE(all_done(nothing));
 }
 
-TEST(TaskGroups, GroupWithFailureReportsIt) {
+TEST(StudyAsTaskGroup, ProgressReportsAFailure) {
   RuntimeOptions opts = sim(1, 2);
   opts.fault_policy.max_attempts = 1;
   opts.injector.force_task_failures(0, 1);
   Runtime runtime(std::move(opts));
-  runtime.submit_in_group("g", timed("bad", 1.0));
-  runtime.submit_in_group("g", timed("good", 1.0));
-  runtime.barrier_group("g");
-  EXPECT_FALSE(runtime.group_succeeded("g"));
+  StudySession g = runtime.open_study({.name = "g"});
+  g.submit(timed("bad", 1.0));
+  g.submit(timed("good", 1.0));
+  g.barrier();
+  EXPECT_FALSE(all_done(g));
+  EXPECT_EQ(g.progress().failed, 1u);
 }
 
 TEST(Elasticity, QueuedTasksUseNewNode) {

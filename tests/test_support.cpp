@@ -1,4 +1,4 @@
-// Unit tests for src/support: RNG, strings, formatting, thread pool,
+// Unit tests for src/support: RNG, strings, formatting,
 // parallel_for, stopwatch, logging.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
 #include "support/strings.hpp"
-#include "support/thread_pool.hpp"
 
 namespace chpo {
 namespace {
@@ -168,30 +167,6 @@ TEST(Format, PrecisionSpec) { EXPECT_EQ(format_str("{:.3f}", 1.23456), "1.235");
 TEST(Format, EscapedBraces) { EXPECT_EQ(format_str("{{}} {}", 5), "{} 5"); }
 
 TEST(Format, MissingArgsRenderEmpty) { EXPECT_EQ(format_str("x={} y={}", 1), "x=1 y="); }
-
-TEST(ThreadPool, RunsAllJobs) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, SubmitFromWorker) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.submit([&] {
-    pool.submit([&] { counter.fetch_add(10); });
-    counter.fetch_add(1);
-  });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 11);
-}
-
-TEST(ThreadPool, ZeroThreadsClampedToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-}
 
 TEST(ParallelFor, CoversWholeRangeOnce) {
   std::vector<std::atomic<int>> hits(1000);
