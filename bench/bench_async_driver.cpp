@@ -66,7 +66,7 @@ std::vector<rt::Future> submit_all(rt::Runtime& runtime, const std::vector<Trial
 struct StopStats {
   double stop_time = 0.0;       ///< virtual seconds until the driver observed the crossing
   std::size_t consumed = 0;     ///< results waited on before stopping
-  std::size_t cancelled = 0;    ///< outstanding trials cancelled (as-completed only)
+  std::size_t cancelled = 0;    ///< trials cancel() stopped (as-completed only)
 };
 
 /// The pre-refactor driver loop: results consumed strictly in submission
@@ -96,8 +96,9 @@ StopStats consume_as_completed(const std::vector<TrialScript>& script, double ta
     const rt::Future done = runtime.next_completion();
     ++stats.consumed;
     if (runtime.wait_on_as<double>(done) >= target) {
-      for (const rt::Future& f : futures) runtime.cancel(f);  // false for finished ones
-      stats.cancelled = futures.size() - stats.consumed;
+      // cancel() is false for trials that already finished, consumed or not.
+      for (const rt::Future& f : futures)
+        if (runtime.cancel(f)) ++stats.cancelled;
       break;
     }
   }
@@ -112,8 +113,8 @@ int main() {
                       "§6.1 early stop: in-order vs completion-driven consumption");
 
   constexpr double kTarget = 0.9;
-  std::printf("%-8s %-10s %-14s %-12s %-14s %-12s %-10s\n", "trials", "winner@", "in-order (s)",
-              "consumed", "as-compl. (s)", "consumed", "speedup");
+  std::printf("%-8s %-10s %-14s %-12s %-14s %-12s %-12s %-10s\n", "trials", "winner@",
+              "in-order (s)", "consumed", "as-compl. (s)", "consumed", "cancelled", "speedup");
 
   bool all_strictly_earlier = true;
   for (const std::size_t n : {12u, 24u, 48u}) {
@@ -122,9 +123,9 @@ int main() {
     const StopStats ordered = consume_in_order(script, kTarget);
     const StopStats completed = consume_as_completed(script, kTarget);
     all_strictly_earlier = all_strictly_earlier && completed.stop_time < ordered.stop_time;
-    std::printf("%-8zu %-10zu %-14.1f %-12zu %-14.1f %-12zu %-9.2fx\n", n, winner,
+    std::printf("%-8zu %-10zu %-14.1f %-12zu %-14.1f %-12zu %-12zu %-9.2fx\n", n, winner,
                 ordered.stop_time, ordered.consumed, completed.stop_time, completed.consumed,
-                ordered.stop_time / completed.stop_time);
+                completed.cancelled, ordered.stop_time / completed.stop_time);
   }
 
   std::printf("\ncompletion-driven stop strictly earlier on every size: %s\n",

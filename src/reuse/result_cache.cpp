@@ -224,16 +224,6 @@ std::optional<ml::TrainResult> ResultCache::get_result(const StageKey& key) {
   return std::nullopt;
 }
 
-std::optional<ml::TrainResult> ResultCache::probe_result(const StageKey& key) {
-  const MutexLock lock(mutex_);
-  if (Entry* e = lookup_memory(key); e && e->result) return e->result;
-  if (auto result = load_result_from_disk(key)) {
-    insert_memory(key, Entry{nullptr, result, sizeof(ml::TrainResult) + result->history.size() * sizeof(ml::EpochStats), 0});
-    return result;
-  }
-  return std::nullopt;
-}
-
 bool ResultCache::put_result(const StageKey& key, const ml::TrainResult& result) {
   const MutexLock lock(mutex_);
   if (const auto it = memory_.find(key); it != memory_.end() && it->second.result) {

@@ -57,7 +57,6 @@ class ResultCache {
 
   /// Result lookup/commit; same counting and write-once semantics.
   std::optional<ml::TrainResult> get_result(const StageKey& key);
-  std::optional<ml::TrainResult> probe_result(const StageKey& key);
   bool put_result(const StageKey& key, const ml::TrainResult& result);
 
   CacheStats stats() const;

@@ -129,11 +129,13 @@ void Engine::make_ready(TaskId task) {
 }
 
 void Engine::push_ready(TaskRecord& record) {
-  if (record.in_ready) return;  // already queued (and its entry is live)
+  if (record.in_ready) return;  // already queued
   record.in_ready = true;
-  ++record.ready_epoch;
   ReadyShard& shard = ready_shards_[record.study];
-  shard.fifo.push_back(ReadyEntry{.id = record.id, .epoch = record.ready_epoch});
+  record.ready_prev = shard.tail;
+  record.ready_next = kNoTask;
+  (shard.tail == kNoTask ? shard.head : graph_.task(shard.tail).ready_next) = record.id;
+  shard.tail = record.id;
   // Ids mostly become ready in ascending order: hint the end.
   shard.ordered.emplace_hint(shard.ordered.end(),
                              RankedTask{.priority = record.def.priority, .id = record.id});
@@ -144,9 +146,12 @@ void Engine::push_ready(TaskRecord& record) {
 void Engine::remove_from_ready(TaskRecord& record) {
   if (!record.in_ready) return;
   record.in_ready = false;
-  ++record.ready_epoch;  // the queued FIFO entry no longer matches: stale
-  ready_shards_[record.study].ordered.erase(
-      RankedTask{.priority = record.def.priority, .id = record.id});
+  ReadyShard& shard = ready_shards_[record.study];
+  (record.ready_prev == kNoTask ? shard.head : graph_.task(record.ready_prev).ready_next) =
+      record.ready_next;
+  (record.ready_next == kNoTask ? shard.tail : graph_.task(record.ready_next).ready_prev) =
+      record.ready_prev;
+  shard.ordered.erase(RankedTask{.priority = record.def.priority, .id = record.id});
   count_demand(record, -1);
   --ready_total_;
 }
@@ -217,30 +222,24 @@ std::vector<Dispatch> Engine::schedule(double now) {
                               .t_end = now});
     dispatches.push_back(std::move(d));
   }
-  close_round();
+  round_held_.clear();
   return dispatches;
 }
 
 void Engine::gate_ready_shards(double now) {
-  // Walk every live entry, held studies included, in StudyId then
+  // Walk every ready task, held studies included, in StudyId then
   // readiness order: a ready task whose input versions died with a node
   // stays queued (its recovery is demanded here) instead of dispatching
-  // into a DataLostError; one with unrecoverable inputs fails below. The
-  // walk compacts each FIFO in place, since it reads all of it anyway.
+  // into a DataLostError; one with unrecoverable inputs fails below.
   std::vector<TaskId> doomed;
-  for (auto& [study, shard] : ready_shards_) {
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < shard.fifo.size(); ++read) {
+  for (const auto& [study, shard] : ready_shards_) {
+    for (TaskId id = shard.head; id != kNoTask; id = graph_.task(id).ready_next) {
       ++ready_visits_;
-      const ReadyEntry entry = shard.fifo[read];
-      if (!entry_live(entry)) continue;  // stale: drop
-      shard.fifo[write++] = entry;
       bool task_doomed = false;
-      if (inputs_ready(graph_.task(entry.id), now, task_doomed)) continue;
-      if (task_doomed) doomed.push_back(entry.id);
-      round_held_.push_back(entry.id);  // held behind lineage recovery (or failed below)
+      if (inputs_ready(graph_.task(id), now, task_doomed)) continue;
+      if (task_doomed) doomed.push_back(id);
+      round_held_.push_back(id);  // held behind lineage recovery (or failed below)
     }
-    shard.fifo.resize(write);
   }
   std::sort(round_held_.begin(), round_held_.end());
   for (TaskId id : doomed) {
@@ -264,6 +263,7 @@ void Engine::open_round() {
     if (policy.paused) continue;
     RoundCursor cursor;
     cursor.shard = &shard;
+    cursor.next_ready = shard.head;
     cursor.ranked = shard.ordered.begin();
     if (policy.max_running > 0) {
       // Lineage-recovery attempts re-execute Done tasks on the engine's
@@ -279,17 +279,17 @@ void Engine::open_round() {
   }
 }
 
-const Engine::ReadyEntry* Engine::walk_fifo(RoundCursor& cursor) {
-  const std::deque<ReadyEntry>& fifo = cursor.shard->fifo;
-  if (cursor.taken >= cursor.budget) return nullptr;
-  while (cursor.walked < fifo.size()) {
+TaskId Engine::walk_fifo(RoundCursor& cursor) {
+  if (cursor.taken >= cursor.budget) return kNoTask;
+  while (cursor.next_ready != kNoTask) {
     ++ready_visits_;
-    const ReadyEntry& entry = fifo[cursor.walked++];
-    if (!entry_live(entry) || round_holds(entry.id)) continue;
+    const TaskId id = cursor.next_ready;
+    cursor.next_ready = graph_.task(id).ready_next;
+    if (round_holds(id)) continue;
     ++cursor.taken;
-    return &entry;
+    return id;
   }
-  return nullptr;
+  return kNoTask;
 }
 
 std::optional<TaskId> Engine::next_by_readiness() {
@@ -308,9 +308,9 @@ std::optional<TaskId> Engine::next_by_readiness() {
       }
     }
     if (best == nullptr) return std::nullopt;
-    if (const ReadyEntry* entry = walk_fifo(*best)) {
+    if (const TaskId id = walk_fifo(*best); id != kNoTask) {
       ++best->active;
-      return entry->id;
+      return id;
     }
     best->exhausted = true;
   }
@@ -327,16 +327,15 @@ const Engine::RankedTask* Engine::ranked_head(RoundCursor& cursor) {
 
 std::optional<TaskId> Engine::next_by_priority() {
   if (!round_ranked_) {
-    // A quota shard's membership is its first `budget` live FIFO entries
-    // (the tasks that became ready first), ranked among themselves: an
-    // O(quota) walk, once per round.
+    // A quota shard's membership is its first `budget` tasks in readiness
+    // order (the tasks that became ready first), ranked among themselves:
+    // an O(quota) walk, once per round.
     round_ranked_ = true;
     for (RoundCursor& cursor : round_) {
       if (!cursor.capped()) continue;
       cursor.member_next = round_members_.size();
-      while (const ReadyEntry* entry = walk_fifo(cursor))
-        round_members_.push_back(
-            RankedTask{.priority = graph_.task(entry->id).def.priority, .id = entry->id});
+      for (TaskId id = walk_fifo(cursor); id != kNoTask; id = walk_fifo(cursor))
+        round_members_.push_back(RankedTask{.priority = graph_.task(id).def.priority, .id = id});
       cursor.member_end = round_members_.size();
       std::sort(round_members_.begin() + static_cast<std::ptrdiff_t>(cursor.member_next),
                 round_members_.end());
@@ -363,29 +362,6 @@ std::optional<TaskId> Engine::next_by_priority() {
     ++ready_visits_;
   }
   return best_head->id;
-}
-
-void Engine::close_round() {
-  // Walked FIFO prefixes lose their stale entries (this round's
-  // placements included), so no later round walks them again.
-  for (RoundCursor& cursor : round_) {
-    if (cursor.walked == 0) continue;
-    std::deque<ReadyEntry>& fifo = cursor.shard->fifo;
-    std::size_t keep = cursor.walked;
-    for (std::size_t read = cursor.walked; read-- > 0;) {
-      ++ready_visits_;
-      if (entry_live(fifo[read])) fifo[--keep] = fifo[read];
-    }
-    fifo.erase(fifo.begin(), fifo.begin() + static_cast<std::ptrdiff_t>(keep));
-  }
-  round_held_.clear();
-  // Compaction once stale entries outnumber live ones: each pass costs
-  // at most twice the removals since the last, so O(1) amortised.
-  for (auto& [study, shard] : ready_shards_) {
-    if (shard.fifo.size() <= 2 * shard.ordered.size()) continue;
-    ready_visits_ += shard.fifo.size();
-    std::erase_if(shard.fifo, [this](const ReadyEntry& entry) { return !entry_live(entry); });
-  }
 }
 
 void Engine::set_study_policy(StudyId study, StudyPolicy policy) {
@@ -710,7 +686,6 @@ Engine::Completion Engine::conclude_attempt(const Attempt& attempt, AttemptResul
                                 .t_start = end,
                                 .t_end = end});
       make_ready(task);
-      if (record.state == TaskState::Ready) completion.newly_ready.push_back(task);
       return completion;
     }
   }
@@ -737,10 +712,7 @@ Engine::Completion Engine::conclude_attempt(const Attempt& attempt, AttemptResul
     for (TaskId succ : record.successors) {
       TaskRecord& s = graph_.task(succ);
       if (s.state != TaskState::WaitingDeps) continue;
-      if (--s.deps_remaining == 0) {
-        make_ready(succ);
-        if (s.state == TaskState::Ready) completion.newly_ready.push_back(succ);
-      }
+      if (--s.deps_remaining == 0) make_ready(succ);
     }
     return completion;
   }
@@ -857,7 +829,6 @@ Engine::Completion Engine::conclude_attempt(const Attempt& attempt, AttemptResul
                             .t_start = end,
                             .t_end = end});
   make_ready(task);
-  if (record.state == TaskState::Ready) completion.newly_ready.push_back(task);
   return completion;
 }
 
@@ -1368,12 +1339,12 @@ bool Engine::reap_infeasible() {
       progressed = true;
     }
   }
-  for (auto& [study, shard] : ready_shards_) {
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < shard.fifo.size(); ++read) {
-      const ReadyEntry entry = shard.fifo[read];
-      if (!entry_live(entry)) continue;  // stale: drop
-      TaskRecord& record = graph_.task(entry.id);
+  // Collect first, in StudyId then readiness order, then fail in that
+  // order: failing unlinks the task from the list being walked.
+  std::vector<TaskId> infeasible;
+  for (const auto& [study, shard] : ready_shards_) {
+    for (TaskId id = shard.head; id != kNoTask; id = graph_.task(id).ready_next) {
+      const TaskRecord& record = graph_.task(id);
       bool feasible = false;
       const int n_variants = static_cast<int>(record.def.variants.size());
       for (int variant = -1; variant < n_variants && !feasible; ++variant) {
@@ -1387,18 +1358,17 @@ bool Engine::reap_infeasible() {
         }
         feasible = fitting >= std::max(1u, constraint.nodes);
       }
-      if (feasible) {
-        shard.fifo[write++] = entry;
-        continue;
-      }
-      remove_from_ready(record);
-      record.state = TaskState::Failed;
-      record.failure_reason = "no live node can satisfy the constraint";
-      mark_terminal(record.id);
-      cancel_dependents(record.id);
-      progressed = true;
+      if (!feasible) infeasible.push_back(id);
     }
-    shard.fifo.resize(write);
+  }
+  for (TaskId id : infeasible) {
+    TaskRecord& record = graph_.task(id);
+    remove_from_ready(record);
+    record.state = TaskState::Failed;
+    record.failure_reason = "no live node can satisfy the constraint";
+    mark_terminal(id);
+    cancel_dependents(id);
+    progressed = true;
   }
   return progressed;
 }

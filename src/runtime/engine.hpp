@@ -158,7 +158,6 @@ class Engine : private CandidateSource {
   double stage_inputs(TaskId task, int node, double now) CHPO_REQUIRES(g_engine_ctx);
 
   struct Completion {
-    std::vector<TaskId> newly_ready;
     /// Set when the retry-same-node policy immediately re-placed the task:
     /// the backend must execute this dispatch (a TaskRetry event was logged).
     std::optional<Dispatch> retry;
@@ -302,10 +301,9 @@ class Engine : private CandidateSource {
   bool all_terminal() const;
   std::size_t ready_count() const { return ready_total_; }
   std::size_t running_count() const { return running_; }
-  /// Ready-queue entries schedule() has examined so far (walked, popped or
-  /// compacted, stale ones included). A cost statistic for tests and
-  /// benchmarks: divided by the tasks placed it must not grow with the
-  /// length of the ready queues.
+  /// Ready tasks schedule() has examined so far (pulled, stepped past or
+  /// gated). A cost statistic for tests and benchmarks: divided by the
+  /// tasks placed it must not grow with the length of the ready queues.
   std::uint64_t ready_visits() const { return ready_visits_; }
 
   ResourceState& resources() { return resources_; }
@@ -349,12 +347,6 @@ class Engine : private CandidateSource {
     int pinned_node = -1;
   };
 
-  /// One queued FIFO entry. `epoch` must equal the record's ready_epoch
-  /// (and the record be in_ready) for the entry to be live.
-  struct ReadyEntry {
-    TaskId id = kNoTask;
-    std::uint32_t epoch = 0;
-  };
   /// A ready task keyed by (priority desc, id asc), the order every policy
   /// but Fifo places in.
   struct RankedTask {
@@ -364,23 +356,26 @@ class Engine : private CandidateSource {
       return priority != other.priority ? priority : id < other.id;
     }
   };
-  /// One study's ready queue, held twice. `fifo` is in readiness order
-  /// (Fifo's order, and the membership of a max_running quota) with lazy
-  /// deletion: remove_from_ready only clears the record's in_ready flag
-  /// and bumps its epoch, a round drops the stale entries it walks past,
-  /// and close_round compacts the deque once its stale entries outnumber
-  /// the live ones — amortised O(1) per removal. `ordered` holds exactly
-  /// the live tasks by rank: remove_from_ready erases from it, and a round
-  /// walks it with an iterator, so nothing is popped and put back.
-  /// `running` counts the study's non-recovery in-flight attempts, the
-  /// fair-share deficit's input.
+  /// One study's ready queue, held in two orders with one removal rule:
+  /// a task is in both exactly while its record's in_ready is set.
+  /// Readiness order (Fifo's order, and the membership of a max_running
+  /// quota) is a doubly linked list threaded through the records'
+  /// ready_prev / ready_next, from `head` to `tail`; `ordered` holds the
+  /// same tasks by rank. push_ready appends to both and remove_from_ready
+  /// unlinks from both, so a round walks only ready tasks. `running`
+  /// counts the study's non-recovery in-flight attempts, the fair-share
+  /// deficit's input.
   struct ReadyShard {
-    std::deque<ReadyEntry> fifo;
+    TaskId head = kNoTask;
+    TaskId tail = kNoTask;
     std::set<RankedTask> ordered;
     int running = 0;
   };
   /// One shard's view of the current scheduling round (paused shards and
-  /// shards at quota get none).
+  /// shards at quota get none). The cursors hold positions in the shard's
+  /// readiness list and rank set, so nothing may leave a shard while a
+  /// round's cursors are open: schedule() removes its placements only
+  /// after the scheduler returns.
   struct RoundCursor {
     static constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
     ReadyShard* shard = nullptr;
@@ -388,8 +383,8 @@ class Engine : private CandidateSource {
     /// max_running, unbounded otherwise.
     std::size_t budget = kUnbounded;
     std::size_t taken = 0;
-    /// Prefix of `fifo` examined this round (compacted at close_round).
-    std::size_t walked = 0;
+    /// Next task of the readiness list to examine this round.
+    TaskId next_ready = kNoTask;
     /// Next unpulled task of `ordered` (uncapped shards).
     std::set<RankedTask>::const_iterator ranked;
     /// Fair-share deficit numerator: running attempts plus grants so far.
@@ -406,31 +401,25 @@ class Engine : private CandidateSource {
   // CandidateSource: the scheduler pulls one round's candidates from here.
   /// Weighted-deficit interleave of the shards' readiness order: grant the
   /// cursor whose (running + granted) / weight is smallest, lowest StudyId
-  /// on ties. O(studies) per grant plus the stale entries skipped.
+  /// on ties. O(studies) per grant plus the held tasks skipped.
   std::optional<TaskId> next_by_readiness() override;
   /// k-way merge over the shards' rank order; a quota shard contributes
-  /// its first `budget` live FIFO entries, sorted.
+  /// its first `budget` tasks in readiness order, sorted.
   std::optional<TaskId> next_by_priority() override;
   /// The least cpus and gpus any ready task's cheapest implementation
   /// asks of one node (O(1), from ready_cpu_demand_ / ready_gpu_demand_).
   Constraint smallest_demand() const override;
   /// Set up one cursor per shard with a non-zero budget (O(studies)).
   void open_round();
-  /// Drop the stale entries of every walked FIFO prefix and compact any
-  /// FIFO whose stale entries outnumber its live ones.
-  void close_round();
-  /// Next live, non-held FIFO entry within the cursor's budget, or nullptr.
-  const ReadyEntry* walk_fifo(RoundCursor& cursor);
+  /// Next non-held task of the readiness list within the cursor's
+  /// budget, or kNoTask.
+  TaskId walk_fifo(RoundCursor& cursor);
   /// Next non-held task of an uncapped shard's rank order, or nullptr.
   const RankedTask* ranked_head(RoundCursor& cursor);
   /// Lineage gate, only while some version is lost: walk every shard in
   /// full, demand recovery for lost inputs, fail tasks whose inputs are
   /// unrecoverable and hold the rest out of this round (round_held_).
   void gate_ready_shards(double now) CHPO_REQUIRES(g_engine_ctx);
-  bool entry_live(const ReadyEntry& entry) const {
-    const TaskRecord& record = graph_.task(entry.id);
-    return record.in_ready && record.ready_epoch == entry.epoch;
-  }
   bool round_holds(TaskId task) const {
     return !round_held_.empty() && std::binary_search(round_held_.begin(), round_held_.end(), task);
   }
@@ -439,10 +428,10 @@ class Engine : private CandidateSource {
   StudyPolicy policy_for(StudyId study) const;
 
   void make_ready(TaskId task) CHPO_REQUIRES(g_engine_ctx);
-  /// Append `record` to its study's ready shard (stamps a fresh epoch).
+  /// Append `record` to its study's readiness list and rank set.
   void push_ready(TaskRecord& record) CHPO_REQUIRES(g_engine_ctx);
-  /// O(1) lazy removal: clears in_ready and bumps the epoch so the queued
-  /// shard entries are recognised as stale and dropped later.
+  /// Unlink `record` from its study's readiness list (O(1)) and erase it
+  /// from the rank set.
   void remove_from_ready(TaskRecord& record) CHPO_REQUIRES(g_engine_ctx);
   void cancel_dependents(TaskId task) CHPO_REQUIRES(g_engine_ctx);
   void commit_outputs(TaskRecord& task, AttemptResult& result) CHPO_REQUIRES(g_engine_ctx);
@@ -496,7 +485,7 @@ class Engine : private CandidateSource {
   NodeHealth health_;
   /// One ready queue per study (see ReadyShard), in StudyId order.
   std::map<StudyId, ReadyShard> ready_shards_;
-  std::size_t ready_total_ = 0;  ///< live (non-stale) entries across shards
+  std::size_t ready_total_ = 0;  ///< ready tasks across shards
   /// State of the scheduling round in progress, reused across rounds so a
   /// storm pays no allocation per round: the cursors (StudyId order), the
   /// sorted quota candidates they index and the sorted ids the lineage

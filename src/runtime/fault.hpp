@@ -176,8 +176,6 @@ class FaultInjector {
   /// is sampled by materialize_node_schedule once the cluster size is
   /// known (the engine calls it at construction).
   void set_node_chaos(NodeChaosPolicy chaos) { chaos_ = chaos; }
-  const NodeChaosPolicy& node_chaos() const { return chaos_; }
-  bool has_node_chaos() const { return chaos_.mttf_seconds > 0.0; }
 
   /// Sample the MTTF/MTTR timeline for `n_nodes` into the scheduled
   /// failure/recovery lists (deterministic in the injector seed).
@@ -191,7 +189,6 @@ class FaultInjector {
 
   const std::vector<NodeFailureEvent>& node_failures() const { return node_failures_; }
   const std::vector<NodeRecoveryEvent>& node_recoveries() const { return node_recoveries_; }
-  bool any_injection() const { return task_failure_prob_ > 0.0 || !forced_.empty(); }
 
  private:
   /// One inverse-CDF exponential draw from the injector RNG.

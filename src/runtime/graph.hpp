@@ -59,14 +59,9 @@ struct TaskRecord {
   /// flight. Recovery never reopens task state — the task stays Done and
   /// keeps its terminal_seq; only its output data is recommitted.
   bool recovering = false;
-  /// Live entry in the engine's per-study ready shard. Removal is lazy:
-  /// clearing this flag (plus bumping ready_epoch) invalidates the queued
-  /// entry in O(1); the shard compacts stale entries on its next scan.
+  /// In the engine's per-study ready shard: set exactly while the task is
+  /// linked into the shard's readiness list and its rank set.
   bool in_ready = false;
-  /// Generation stamp for the queued ready entry; a shard entry whose
-  /// stamp doesn't match is stale (the task left and possibly re-entered
-  /// the ready set since it was queued).
-  std::uint32_t ready_epoch = 0;
   /// A wait_on / next_completion returned this task's future: to_dot draws
   /// its edge into the "sync" node (Figure 3).
   bool synced = false;
@@ -74,6 +69,10 @@ struct TaskRecord {
   /// cost, variant bodies). It can never run again, so lineage recovery
   /// treats its outputs as unrecoverable.
   bool released = false;
+  /// Neighbours in the ready shard's readiness list (kNoTask at either
+  /// end), meaningful only while in_ready is set.
+  TaskId ready_prev = kNoTask;
+  TaskId ready_next = kNoTask;
 
   const Constraint& implementation_constraint(int variant) const {
     return variant < 0 ? def.constraint

@@ -165,10 +165,4 @@ unsigned ResourceState::free_gpus(std::size_t node) const {
   return static_cast<unsigned>(std::count(n.gpu_busy.begin(), n.gpu_busy.end(), false));
 }
 
-unsigned ResourceState::busy_cpus(std::size_t node) const {
-  if (node >= nodes_.size()) return 0;
-  const NodeState& n = nodes_[node];
-  return static_cast<unsigned>(std::count(n.core_busy.begin(), n.core_busy.end(), true));
-}
-
 }  // namespace chpo::rt

@@ -66,7 +66,6 @@ class ResourceState {
 
   unsigned free_cpus(std::size_t node) const;
   unsigned free_gpus(std::size_t node) const;
-  unsigned busy_cpus(std::size_t node) const;
   std::size_t node_count() const { return nodes_.size(); }
 
   const cluster::ClusterSpec& spec() const { return spec_; }

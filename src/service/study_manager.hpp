@@ -213,7 +213,6 @@ class StudyManager {
   /// new studies while in-flight ones run down; queued specs stay Queued
   /// for the shutdown manifest).
   void set_admission_paused(bool paused) { admission_paused_ = paused; }
-  bool admission_paused() const { return admission_paused_; }
 
   /// Final (or partial, if Killed) outcome; throws std::logic_error unless
   /// the study is Finished or Killed and not yet retired.

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "runtime/runtime.hpp"
+#include "runtime/study_session.hpp"
 
 namespace chpo::rt {
 namespace {
@@ -113,12 +114,42 @@ TEST(FaultTolerance, NodeDeathBeforeAnyWork) {
 }
 
 TEST(FaultTolerance, AllNodesDeadFailsPendingTasks) {
-  RuntimeOptions opts = sim_nodes(1, 1);
+  // One 2-core node: "killed" and "pre" start at t=0, and every 2-core task
+  // queues behind them until the node dies at t=5. Both studies' queues,
+  // the paused one included, then fail in StudyId order and, within a
+  // study, in readiness order: "late" became ready at t=1, after the main
+  // study's other queued tasks though its id is lower.
+  RuntimeOptions opts = sim_nodes(1, 2);
   opts.injector.schedule_node_failure(0, 5.0);
   opts.fault_policy.max_attempts = 5;
   Runtime runtime(std::move(opts));
-  const Future running = runtime.submit(timed("killed", 10.0));
-  const Future queued = runtime.submit(timed("never_started", 10.0));
+  StudySession primary = runtime.main_study();
+  StudySession held = runtime.open_study({.name = "held"});
+  held.pause();
+  const auto wide = [](std::string name) {
+    TaskDef def = timed(std::move(name), 10.0);
+    def.constraint.cpus = 2;
+    return def;
+  };
+  const Future running = primary.submit(timed("killed", 10.0));
+  const Future pre = primary.submit(timed("pre", 1.0));
+  const Future late = primary.submit(wide("late"), {{pre.data, Direction::In}});
+  const Future held_a = held.submit(wide("held_a"));
+  const Future queued = primary.submit(wide("never_started"));
+  const Future held_b = held.submit(wide("held_b"));
+  const Future queued_b = primary.submit(wide("never_started_b"));
+
+  runtime.barrier();
+  EXPECT_EQ(runtime.graph().task(pre.producer).state, TaskState::Done);
+  const std::vector<Future> expected_order = {queued, queued_b, late, held_a, held_b};
+  std::uint64_t previous_seq = 0;
+  for (const Future& f : expected_order) {
+    const TaskRecord& record = runtime.graph().task(f.producer);
+    EXPECT_EQ(record.state, TaskState::Failed) << record.def.name;
+    EXPECT_EQ(record.failure_reason, "no live node can satisfy the constraint") << record.def.name;
+    EXPECT_GT(record.terminal_seq, previous_seq) << record.def.name;
+    previous_seq = record.terminal_seq;
+  }
   EXPECT_THROW(runtime.wait_on(running), TaskFailedError);
   EXPECT_THROW(runtime.wait_on(queued), TaskFailedError);
 }

@@ -272,13 +272,14 @@ TEST(HotPathStdFunction, FlagsAllocationInTheCandidateSource) {
         "  std::function<bool(const RankedTask&, const RankedTask&)> better = std::less<>{};\n"
         "  return pick(better);\n"
         "}\n"
-        "void Engine::close_round() {\n"
-        "  std::erase_if(fifo, std::function<bool(const ReadyEntry&)>(is_stale));\n"
+        "TaskId Engine::walk_fifo(RoundCursor& cursor) {\n"
+        "  std::function<bool(TaskId)> held = [this](TaskId id) { return round_holds(id); };\n"
+        "  return step(cursor, held);\n"
         "}\n"}});
   const auto hits = of_rule(findings, "hot-path-std-function");
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_NE(hits[0].message.find("Engine::next_by_priority"), std::string::npos);
-  EXPECT_NE(hits[1].message.find("Engine::close_round"), std::string::npos);
+  EXPECT_NE(hits[1].message.find("Engine::walk_fifo"), std::string::npos);
 }
 
 TEST(HotPathStdFunction, AllowsColdMethodsAndOtherFiles) {

@@ -551,8 +551,8 @@ bool hot_path_method(const std::string& qualifier, const std::string& name) {
                                  "push_ready",        "remove_from_ready",  "count_demand",
                                  "schedule",          "open_round",         "next_by_readiness",
                                  "next_by_priority",  "smallest_demand",    "walk_fifo",
-                                 "ranked_head",       "close_round",        "register_attempt",
-                                 "prepare_body",      "complete_attempt",   "conclude_attempt"};
+                                 "ranked_head",       "register_attempt",   "prepare_body",
+                                 "complete_attempt",  "conclude_attempt"};
     for (const char* method : kHot)
       if (name == method) return true;
     return false;
