@@ -20,6 +20,7 @@ Engine::Engine(TaskGraph& graph, const cluster::ClusterSpec& spec, EngineOptions
       speculation_(options_.speculation),
       health_(options_.node_health, spec.nodes.size()) {
   scheduler_->set_health(&health_);
+  studies_[kMainStudy].name = "main";
   // Turn the injector's membership timeline (explicit schedule + sampled
   // MTTF/MTTR churn) into the engine's unified node-event queue. Both
   // backends drain it through on_wakeup()/schedule() — the simulation
@@ -47,15 +48,10 @@ void Engine::inject_node_event(std::size_t node, double time, bool up) {
 
 void Engine::on_submitted(TaskId task, double now) {
   TaskRecord& record = graph_.task(task);
-  StudyCounters& counts = study_counts_[record.study];
-  ++counts.submitted;
-  counts.tasks.push_back(task);
-  sink_.record(trace::Event{.kind = trace::EventKind::TaskSubmit,
-                            .task_id = task,
-                            .study = record.study,
-                            .task_name = record.def.name,
-                            .t_start = now,
-                            .t_end = now});
+  Study& study = studies_.at(record.study);
+  ++study.submitted;
+  study.tasks.push_back(task);
+  emit(trace::EventKind::TaskSubmit, &record, now, now, {});
   if (record.state == TaskState::Cancelled) {
     // Doomed at submission: a predecessor had already failed.
     mark_terminal(task);
@@ -64,21 +60,36 @@ void Engine::on_submitted(TaskId task, double now) {
   if (record.state == TaskState::Ready) make_ready(task);
 }
 
-void Engine::on_submitted_batch(const std::vector<TaskId>& tasks, double now) {
-  // Deliberately the same per-task sequence as N on_submitted calls, in
-  // submission order: batch admission amortizes what surrounds this loop
-  // (context scope, notification flush, backend wakeup), never what is in
-  // it — that keeps sim schedules bit-identical across submission styles.
-  for (const TaskId task : tasks) on_submitted(task, now);
+void Engine::emit(trace::EventKind kind, const TaskRecord* task, double t_start, double t_end,
+                  const EventFields& fields) {
+  if (!sink_.enabled()) return;
+  trace::Event event{.kind = kind,
+                     .task_id = task != nullptr ? task->id : fields.task_id,
+                     .study = task != nullptr ? task->study : fields.study,
+                     .attempt = fields.attempt,
+                     .node = fields.node,
+                     .t_start = t_start,
+                     .t_end = t_end};
+  if (task != nullptr) event.task_name = task->def.name;
+  if (fields.cores != nullptr) event.cores = *fields.cores;
+  if (fields.gpus != nullptr) event.gpus = *fields.gpus;
+  sink_.record(std::move(event));
+}
+
+void Engine::end_task(TaskRecord& record, TaskState state, std::string reason) {
+  remove_from_ready(record);
+  record.state = state;
+  record.failure_reason = std::move(reason);
+  mark_terminal(record.id);
+  cancel_dependents(record.id);
 }
 
 void Engine::mark_terminal(TaskId task) {
   ++terminal_;
   TaskRecord& record = graph_.task(task);
-  // find, not operator[]: a fully released study has no entry and must not
-  // regrow one (its tasks are all terminal already, so this is defensive).
-  if (const auto it = study_counts_.find(record.study); it != study_counts_.end())
-    ++it->second.terminal;
+  // A task's study outlives it: the record is erased only once every task
+  // of a released study is terminal.
+  ++studies_.at(record.study).terminal;
   record.terminal_seq = ++terminal_seq_;
   // Queue, don't fire: the listener may run a user callback that submits
   // new tasks — reallocating the graph's record storage and appending to
@@ -97,6 +108,10 @@ void Engine::flush_notifications() {
   while (!pending_notifications_.empty()) {
     const auto [task, state] = pending_notifications_.front();
     pending_notifications_.pop_front();
+    // A released study's last straggler landed: finish its release.
+    if (const auto it = studies_.find(graph_.task(task).study);
+        it != studies_.end() && it->second.released && it->second.terminal == it->second.submitted)
+      release_study(it->first);
     on_terminal_(task, state);
   }
 }
@@ -119,10 +134,7 @@ void Engine::make_ready(TaskId task) {
   if (!any_implementation_feasible(record, resources_)) {
     log_warn("engine", "task {} '{}' has an unsatisfiable constraint ({} cpus, {} gpus)", task,
              record.def.name, record.def.constraint.cpus, record.def.constraint.gpus);
-    record.state = TaskState::Failed;
-    record.failure_reason = "constraint unsatisfiable on this cluster";
-    mark_terminal(task);
-    cancel_dependents(task);
+    end_task(record, TaskState::Failed, "constraint unsatisfiable on this cluster");
     return;
   }
   push_ready(record);
@@ -131,13 +143,13 @@ void Engine::make_ready(TaskId task) {
 void Engine::push_ready(TaskRecord& record) {
   if (record.in_ready) return;  // already queued
   record.in_ready = true;
-  ReadyShard& shard = ready_shards_[record.study];
-  record.ready_prev = shard.tail;
+  Study& study = studies_.at(record.study);
+  record.ready_prev = study.tail;
   record.ready_next = kNoTask;
-  (shard.tail == kNoTask ? shard.head : graph_.task(shard.tail).ready_next) = record.id;
-  shard.tail = record.id;
+  (study.tail == kNoTask ? study.head : graph_.task(study.tail).ready_next) = record.id;
+  study.tail = record.id;
   // Ids mostly become ready in ascending order: hint the end.
-  shard.ordered.emplace_hint(shard.ordered.end(),
+  study.ordered.emplace_hint(study.ordered.end(),
                              RankedTask{.priority = record.def.priority, .id = record.id});
   count_demand(record, +1);
   ++ready_total_;
@@ -146,12 +158,12 @@ void Engine::push_ready(TaskRecord& record) {
 void Engine::remove_from_ready(TaskRecord& record) {
   if (!record.in_ready) return;
   record.in_ready = false;
-  ReadyShard& shard = ready_shards_[record.study];
-  (record.ready_prev == kNoTask ? shard.head : graph_.task(record.ready_prev).ready_next) =
+  Study& study = studies_.at(record.study);
+  (record.ready_prev == kNoTask ? study.head : graph_.task(record.ready_prev).ready_next) =
       record.ready_next;
-  (record.ready_next == kNoTask ? shard.tail : graph_.task(record.ready_next).ready_prev) =
+  (record.ready_next == kNoTask ? study.tail : graph_.task(record.ready_next).ready_prev) =
       record.ready_prev;
-  shard.ordered.erase(RankedTask{.priority = record.def.priority, .id = record.id});
+  study.ordered.erase(RankedTask{.priority = record.def.priority, .id = record.id});
   count_demand(record, -1);
   --ready_total_;
 }
@@ -211,15 +223,9 @@ std::vector<Dispatch> Engine::schedule(double now) {
     record.active_variant = d.variant;
     check_input_liveness(record);
     d.attempt_id = register_attempt(d.task, d.placement, now, /*speculative=*/false);
-    sink_.record(trace::Event{.kind = trace::EventKind::TaskSchedule,
-                              .task_id = d.task,
-                              .study = record.study,
-                              .attempt = record.attempts_made + 1,
-                              .task_name = record.def.name,
-                              .node = d.placement.node,
-                              .cores = d.placement.cores,
-                              .t_start = now,
-                              .t_end = now});
+    emit(trace::EventKind::TaskSchedule, &record, now, now,
+         {.attempt = record.attempts_made + 1, .node = d.placement.node,
+          .cores = &d.placement.cores});
     dispatches.push_back(std::move(d));
   }
   round_held_.clear();
@@ -232,8 +238,8 @@ void Engine::gate_ready_shards(double now) {
   // stays queued (its recovery is demanded here) instead of dispatching
   // into a DataLostError; one with unrecoverable inputs fails below.
   std::vector<TaskId> doomed;
-  for (const auto& [study, shard] : ready_shards_) {
-    for (TaskId id = shard.head; id != kNoTask; id = graph_.task(id).ready_next) {
+  for (const auto& [study_id, study] : studies_) {
+    for (TaskId id = study.head; id != kNoTask; id = graph_.task(id).ready_next) {
       ++ready_visits_;
       bool task_doomed = false;
       if (inputs_ready(graph_.task(id), now, task_doomed)) continue;
@@ -242,14 +248,8 @@ void Engine::gate_ready_shards(double now) {
     }
   }
   std::sort(round_held_.begin(), round_held_.end());
-  for (TaskId id : doomed) {
-    TaskRecord& record = graph_.task(id);
-    remove_from_ready(record);
-    record.state = TaskState::Failed;
-    record.failure_reason = "input data lost with a node and unrecoverable";
-    mark_terminal(id);
-    cancel_dependents(id);
-  }
+  for (TaskId id : doomed)
+    end_task(graph_.task(id), TaskState::Failed, "input data lost with a node and unrecoverable");
 }
 
 void Engine::open_round() {
@@ -257,23 +257,23 @@ void Engine::open_round() {
   round_members_.clear();
   round_ranked_ = false;
   if (ready_total_ == 0) return;
-  for (auto& [study, shard] : ready_shards_) {
-    if (shard.ordered.empty()) continue;
-    const StudyPolicy policy = policy_for(study);
+  for (auto& [id, study] : studies_) {
+    if (study.ordered.empty()) continue;
+    const StudyPolicy& policy = study.policy;
     if (policy.paused) continue;
     RoundCursor cursor;
-    cursor.shard = &shard;
-    cursor.next_ready = shard.head;
-    cursor.ranked = shard.ordered.begin();
+    cursor.study = &study;
+    cursor.next_ready = study.head;
+    cursor.ranked = study.ordered.begin();
     if (policy.max_running > 0) {
       // Lineage-recovery attempts re-execute Done tasks on the engine's
-      // behalf and never count against a study's cap — the shard counter
-      // only tracks non-recovery attempts.
-      const int slots = policy.max_running - shard.running;
+      // behalf and never count against a study's cap — the running
+      // counter only tracks non-recovery attempts.
+      const int slots = policy.max_running - study.running;
       if (slots <= 0) continue;
       cursor.budget = static_cast<std::size_t>(slots);
     }
-    cursor.active = shard.running;
+    cursor.active = study.running;
     cursor.inv_weight = 1.0 / policy.weight;
     round_.push_back(cursor);
   }
@@ -317,7 +317,7 @@ std::optional<TaskId> Engine::next_by_readiness() {
 }
 
 const Engine::RankedTask* Engine::ranked_head(RoundCursor& cursor) {
-  const std::set<RankedTask>& ordered = cursor.shard->ordered;
+  const std::set<RankedTask>& ordered = cursor.study->ordered;
   for (; cursor.ranked != ordered.end(); ++cursor.ranked) {
     if (!round_holds(cursor.ranked->id)) return &*cursor.ranked;
     ++ready_visits_;  // held by the lineage gate: step past it
@@ -364,40 +364,50 @@ std::optional<TaskId> Engine::next_by_priority() {
   return best_head->id;
 }
 
-void Engine::set_study_policy(StudyId study, StudyPolicy policy) {
+StudyId Engine::open_study(std::string name, StudyPolicy policy) {
+  const StudyId id = next_study_++;
   if (policy.weight <= 0.0)
     throw std::invalid_argument("Engine: study fair-share weight must be > 0");
-  study_policies_[study] = policy;
+  Study& study = studies_[id];
+  study.name = name.empty() ? "study-" + std::to_string(id) : std::move(name);
+  study.policy = policy;
+  return id;
 }
 
+bool Engine::study_open(StudyId study) const {
+  const auto it = studies_.find(study);
+  return it != studies_.end() && !it->second.released;
+}
+
+const std::string& Engine::study_name(StudyId study) const { return studies_.at(study).name; }
+
 void Engine::set_study_paused(StudyId study, bool paused) {
-  study_policies_[study].paused = paused;
+  studies_.at(study).policy.paused = paused;
 }
 
 bool Engine::study_paused(StudyId study) const {
-  const auto it = study_policies_.find(study);
-  return it != study_policies_.end() && it->second.paused;
+  const auto it = studies_.find(study);
+  return it != studies_.end() && it->second.policy.paused;
 }
 
-StudyPolicy Engine::policy_for(StudyId study) const {
-  const auto it = study_policies_.find(study);
-  return it == study_policies_.end() ? StudyPolicy{} : it->second;
+void Engine::resume_all_studies() {
+  for (auto& [id, study] : studies_) study.policy.paused = false;
 }
 
 std::size_t Engine::study_task_count(StudyId study) const {
-  const auto it = study_counts_.find(study);
-  return it == study_counts_.end() ? 0 : it->second.submitted;
+  const auto it = studies_.find(study);
+  return it == studies_.end() ? 0 : it->second.submitted;
 }
 
 std::size_t Engine::study_terminal_count(StudyId study) const {
-  const auto it = study_counts_.find(study);
-  return it == study_counts_.end() ? 0 : it->second.terminal;
+  const auto it = studies_.find(study);
+  return it == studies_.end() ? 0 : it->second.terminal;
 }
 
 const std::vector<TaskId>& Engine::study_tasks(StudyId study) const {
   static const std::vector<TaskId> kNone;
-  const auto it = study_counts_.find(study);
-  return it == study_counts_.end() ? kNone : it->second.tasks;
+  const auto it = studies_.find(study);
+  return it == studies_.end() ? kNone : it->second.tasks;
 }
 
 std::size_t Engine::cancel_study(StudyId study, double now) {
@@ -406,40 +416,33 @@ std::size_t Engine::cancel_study(StudyId study, double now) {
   const std::vector<TaskId>& tasks = study_tasks(study);
   for (std::size_t i = 0; i < tasks.size(); ++i)
     if (cancel(tasks[i], now)) ++cancelled;
-  sink_.record(trace::Event{.kind = trace::EventKind::StudyCancel,
-                            .task_id = cancelled,
-                            .study = study,
-                            .t_start = now,
-                            .t_end = now});
+  emit(trace::EventKind::StudyCancel, nullptr, now, now, {.task_id = cancelled, .study = study});
   return cancelled;
 }
 
-bool Engine::release_study(StudyId study) {
-  const auto it = study_counts_.find(study);
-  if (it != study_counts_.end()) {
-    for (const TaskId id : it->second.tasks) {
-      TaskRecord& record = graph_.task(id);
-      if (record.released || record.recovering || !task_terminal(id)) continue;
-      // A consumer that may still run could demand this task's outputs
-      // through lineage recovery, which needs the body: keep it.
-      const bool live_consumer =
-          std::any_of(record.successors.begin(), record.successors.end(),
-                      [this](TaskId succ) { return !task_terminal(succ); });
-      if (live_consumer) continue;
-      record.def.body = {};
-      record.def.cost = {};
-      for (TaskVariant& variant : record.def.variants) {
-        variant.body = {};
-        variant.cost = {};
-      }
-      record.released = true;
+void Engine::release_study(StudyId id) {
+  Study& study = studies_.at(id);
+  study.released = true;
+  // Whatever the study still has outstanding must be able to drain.
+  study.policy.paused = false;
+  for (const TaskId task : study.tasks) {
+    TaskRecord& record = graph_.task(task);
+    if (record.released || record.recovering || !task_terminal(task)) continue;
+    // A consumer that may still run could demand this task's outputs
+    // through lineage recovery, which needs the body: keep it.
+    const bool live_consumer =
+        std::any_of(record.successors.begin(), record.successors.end(),
+                    [this](TaskId succ) { return !task_terminal(succ); });
+    if (live_consumer) continue;
+    record.def.body = {};
+    record.def.cost = {};
+    for (TaskVariant& variant : record.def.variants) {
+      variant.body = {};
+      variant.cost = {};
     }
-    if (it->second.terminal != it->second.submitted) return false;
-    study_counts_.erase(it);
+    record.released = true;
   }
-  ready_shards_.erase(study);
-  study_policies_.erase(study);
-  return true;
+  if (study.terminal == study.submitted) studies_.erase(id);
 }
 
 std::string Engine::speculation_key(const TaskRecord& record) const {
@@ -457,9 +460,9 @@ std::uint64_t Engine::register_attempt(TaskId task, const Placement& placement, 
   TaskRecord& record = graph_.task(task);
   ++running_;
   ++record.running_attempts;
-  // Shard counter behind the fair-share deficits; recovery attempts act on
+  // The counter behind the fair-share deficits; recovery attempts act on
   // the engine's behalf and never count against their study.
-  if (!recovery) ++ready_shards_[record.study].running;
+  if (!recovery) ++studies_.at(record.study).running;
   health_.on_placement(static_cast<std::size_t>(placement.node));
   Attempt attempt;
   attempt.task = task;
@@ -546,13 +549,7 @@ double Engine::stage_inputs(TaskId task, int node, double now) {
     if (registry.available_everywhere(b.param.data, b.read_version)) continue;
     if (registry.locations(b.param.data, b.read_version).contains(node)) continue;
     const double seconds = spec.network.transfer_seconds(registry.bytes_of(b.param.data));
-    sink_.record(trace::Event{.kind = trace::EventKind::Transfer,
-                              .task_id = task,
-                              .study = record.study,
-                              .task_name = record.def.name,
-                              .node = node,
-                              .t_start = now + total,
-                              .t_end = now + total + seconds});
+    emit(trace::EventKind::Transfer, &record, now + total, now + total + seconds, {.node = node});
     registry.add_location(b.param.data, b.read_version, node);
     total += seconds;
   }
@@ -613,33 +610,19 @@ Engine::Completion Engine::conclude_attempt(const Attempt& attempt, AttemptResul
   resources_.release(placement);
   --running_;
   --record.running_attempts;
-  // A speculative loser can land after its study was released.
-  if (const auto shard = ready_shards_.find(record.study); shard != ready_shards_.end())
-    --shard->second.running;
+  // A speculative loser can land after its study's record was erased.
+  if (const auto study = studies_.find(record.study); study != studies_.end())
+    --study->second.running;
   health_.on_conclusion(static_cast<std::size_t>(placement.node));
 
-  sink_.record(trace::Event{.kind = trace::EventKind::TaskRun,
-                            .task_id = task,
-                            .study = record.study,
-                            .attempt = record.attempts_made + 1,
-                            .task_name = record.def.name,
-                            .node = placement.node,
-                            .cores = placement.cores,
-                            .gpus = placement.gpus,
-                            .t_start = start,
-                            .t_end = end});
+  emit(trace::EventKind::TaskRun, &record, start, end,
+       {.attempt = record.attempts_made + 1, .node = placement.node, .cores = &placement.cores,
+        .gpus = &placement.gpus});
   for (const NodeSlice& slice : placement.secondary) {
     // @multinode: the task occupied every slice for the same interval.
-    sink_.record(trace::Event{.kind = trace::EventKind::TaskRun,
-                              .task_id = task,
-                              .study = record.study,
-                              .attempt = record.attempts_made + 1,
-                              .task_name = record.def.name,
-                              .node = slice.node,
-                              .cores = slice.cores,
-                              .gpus = slice.gpus,
-                              .t_start = start,
-                              .t_end = end});
+    emit(trace::EventKind::TaskRun, &record, start, end,
+         {.attempt = record.attempts_made + 1, .node = slice.node, .cores = &slice.cores,
+          .gpus = &slice.gpus});
   }
 
   if (task_terminal(task)) {
@@ -657,10 +640,8 @@ Engine::Completion Engine::conclude_attempt(const Attempt& attempt, AttemptResul
     // doomed now.
     ++record.attempts_made;
     if (record.running_attempts > 0) return completion;  // a sibling still runs
-    record.state = TaskState::Cancelled;
-    if (record.failure_reason.empty()) record.failure_reason = "cancelled while running";
-    mark_terminal(task);
-    cancel_dependents(task);
+    end_task(record, TaskState::Cancelled,
+             record.failure_reason.empty() ? "cancelled while running" : record.failure_reason);
     return completion;
   }
 
@@ -677,14 +658,7 @@ Engine::Completion Engine::conclude_attempt(const Attempt& attempt, AttemptResul
       if (!demand_recovery(b.param.data, b.read_version, end)) doomed_input = true;
     }
     if (!doomed_input) {
-      sink_.record(trace::Event{.kind = trace::EventKind::TaskRetry,
-                                .task_id = task,
-                                .study = record.study,
-                                .attempt = record.attempts_made + 1,
-                                .task_name = record.def.name,
-                                .node = -1,
-                                .t_start = end,
-                                .t_end = end});
+      emit(trace::EventKind::TaskRetry, &record, end, end, {.attempt = record.attempts_made + 1});
       make_ready(task);
       return completion;
     }
@@ -698,14 +672,8 @@ Engine::Completion Engine::conclude_attempt(const Attempt& attempt, AttemptResul
       health_.record_success(static_cast<std::size_t>(placement.node));
     speculation_.record(speculation_key(record), end - start);
     if (attempt.speculative)
-      sink_.record(trace::Event{.kind = trace::EventKind::SpeculativeWin,
-                                .task_id = task,
-                                .study = record.study,
-                                .attempt = record.attempts_made,
-                                .task_name = record.def.name,
-                                .node = placement.node,
-                                .t_start = end,
-                                .t_end = end});
+      emit(trace::EventKind::SpeculativeWin, &record, end, end,
+           {.attempt = record.attempts_made, .node = placement.node});
     commit_outputs(record, result);
     record.state = TaskState::Done;
     mark_terminal(task);
@@ -719,22 +687,13 @@ Engine::Completion Engine::conclude_attempt(const Attempt& attempt, AttemptResul
 
   // ---- Failure path (paper §4 retry policy) ----
   record.failure_reason = result.error;
-  sink_.record(trace::Event{.kind = trace::EventKind::TaskFailure,
-                            .task_id = task,
-                            .study = record.study,
-                            .attempt = record.attempts_made,
-                            .task_name = record.def.name,
-                            .node = placement.node,
-                            .t_start = end,
-                            .t_end = end});
+  emit(trace::EventKind::TaskFailure, &record, end, end,
+       {.attempt = record.attempts_made, .node = placement.node});
   log_warn("engine", "task {} '{}' attempt {} failed on node {}: {}", task, record.def.name,
            record.attempts_made, placement.node, result.error);
   if (!resources_.node_down(static_cast<std::size_t>(placement.node)) &&
       health_.record_failure(static_cast<std::size_t>(placement.node))) {
-    sink_.record(trace::Event{.kind = trace::EventKind::Quarantine,
-                              .node = placement.node,
-                              .t_start = end,
-                              .t_end = end});
+    emit(trace::EventKind::Quarantine, nullptr, end, end, {.node = placement.node});
     log_warn("engine", "node {} quarantined (failure score {:.2f})", placement.node,
              health_.score(static_cast<std::size_t>(placement.node)));
   }
@@ -747,9 +706,7 @@ Engine::Completion Engine::conclude_attempt(const Attempt& attempt, AttemptResul
   }
 
   if (record.attempts_made >= options_.fault_policy.max_attempts) {
-    record.state = TaskState::Failed;
-    mark_terminal(task);
-    cancel_dependents(task);
+    end_task(record, TaskState::Failed, std::move(record.failure_reason));
     return completion;
   }
 
@@ -764,14 +721,8 @@ Engine::Completion Engine::conclude_attempt(const Attempt& attempt, AttemptResul
             : resources_.try_allocate(static_cast<std::size_t>(placement.node), constraint);
     if (retry_placement) {
       record.state = TaskState::Running;
-      sink_.record(trace::Event{.kind = trace::EventKind::TaskRetry,
-                                .task_id = task,
-                                .study = record.study,
-                                .attempt = record.attempts_made + 1,
-                                .task_name = record.def.name,
-                                .node = placement.node,
-                                .t_start = end,
-                                .t_end = end});
+      emit(trace::EventKind::TaskRetry, &record, end, end,
+           {.attempt = record.attempts_made + 1, .node = placement.node});
       Dispatch retry{.task = task, .placement = std::move(*retry_placement),
                      .variant = record.active_variant};
       retry.attempt_id = register_attempt(task, retry.placement, end, /*speculative=*/false);
@@ -805,14 +756,8 @@ Engine::Completion Engine::conclude_attempt(const Attempt& attempt, AttemptResul
     // Exponential backoff: hold the task out of the ready queue until the
     // delay expires, then retry (preferring the same node while the paper's
     // same-node budget lasts). It counts as Ready so cancel() still works.
-    sink_.record(trace::Event{.kind = trace::EventKind::Backoff,
-                              .task_id = task,
-                              .study = record.study,
-                              .attempt = record.attempts_made + 1,
-                              .task_name = record.def.name,
-                              .node = want_same_node ? placement.node : -1,
-                              .t_start = end,
-                              .t_end = end + delay});
+    emit(trace::EventKind::Backoff, &record, end, end + delay,
+         {.attempt = record.attempts_made + 1, .node = want_same_node ? placement.node : -1});
     record.state = TaskState::Ready;
     delayed_.push_back(DelayedRetry{.task = task,
                                     .ready_at = end + delay,
@@ -820,14 +765,7 @@ Engine::Completion Engine::conclude_attempt(const Attempt& attempt, AttemptResul
     return completion;
   }
 
-  sink_.record(trace::Event{.kind = trace::EventKind::TaskRetry,
-                            .task_id = task,
-                            .study = record.study,
-                            .attempt = record.attempts_made + 1,
-                            .task_name = record.def.name,
-                            .node = -1,
-                            .t_start = end,
-                            .t_end = end});
+  emit(trace::EventKind::TaskRetry, &record, end, end, {.attempt = record.attempts_made + 1});
   make_ready(task);
   return completion;
 }
@@ -872,14 +810,8 @@ std::vector<Dispatch> Engine::on_wakeup(double now) {
                 resources_.try_allocate(static_cast<std::size_t>(due.pinned_node), constraint)) {
           record.state = TaskState::Running;
           record.last_node = due.pinned_node;
-          sink_.record(trace::Event{.kind = trace::EventKind::TaskRetry,
-                                    .task_id = due.task,
-                                    .study = record.study,
-                                    .attempt = record.attempts_made + 1,
-                                    .task_name = record.def.name,
-                                    .node = due.pinned_node,
-                                    .t_start = now,
-                                    .t_end = now});
+          emit(trace::EventKind::TaskRetry, &record, now, now,
+               {.attempt = record.attempts_made + 1, .node = due.pinned_node});
           Dispatch retry{.task = due.task, .placement = std::move(*placement),
                          .variant = record.active_variant};
           retry.attempt_id = register_attempt(due.task, retry.placement, now, false);
@@ -890,14 +822,7 @@ std::vector<Dispatch> Engine::on_wakeup(double now) {
     }
     // No pin, or the pinned node is busy/dead: back to the ready queue for
     // the scheduler (make_ready fails the task if nothing can ever fit).
-    sink_.record(trace::Event{.kind = trace::EventKind::TaskRetry,
-                              .task_id = due.task,
-                              .study = record.study,
-                              .attempt = record.attempts_made + 1,
-                              .task_name = record.def.name,
-                              .node = -1,
-                              .t_start = now,
-                              .t_end = now});
+    emit(trace::EventKind::TaskRetry, &record, now, now, {.attempt = record.attempts_made + 1});
     make_ready(due.task);
   }
 
@@ -920,14 +845,8 @@ void Engine::check_speculation(double now, std::vector<Dispatch>& out) {
     if (!threshold || now - attempt.start < *threshold) continue;
     if (!record.straggler_flagged) {
       record.straggler_flagged = true;
-      sink_.record(trace::Event{.kind = trace::EventKind::StragglerDetected,
-                                .task_id = attempt.task,
-                                .study = record.study,
-                                .attempt = record.attempts_made + 1,
-                                .task_name = record.def.name,
-                                .node = attempt.placement.node,
-                                .t_start = now,
-                                .t_end = now});
+      emit(trace::EventKind::StragglerDetected, &record, now, now,
+           {.attempt = record.attempts_made + 1, .node = attempt.placement.node});
       log_info("engine", "task {} '{}' straggling on node {} ({:.3f}s > {:.3f}s threshold)",
                attempt.task, record.def.name, attempt.placement.node, now - attempt.start,
                *threshold);
@@ -940,14 +859,8 @@ void Engine::check_speculation(double now, std::vector<Dispatch>& out) {
     Dispatch duplicate{.task = attempt.task, .placement = std::move(*placement),
                        .variant = record.active_variant};
     duplicate.attempt_id = register_attempt(attempt.task, duplicate.placement, now, true);
-    sink_.record(trace::Event{.kind = trace::EventKind::SpeculativeLaunch,
-                              .task_id = attempt.task,
-                              .study = record.study,
-                              .attempt = record.attempts_made + 1,
-                              .task_name = record.def.name,
-                              .node = duplicate.placement.node,
-                              .t_start = now,
-                              .t_end = now});
+    emit(trace::EventKind::SpeculativeLaunch, &record, now, now,
+         {.attempt = record.attempts_made + 1, .node = duplicate.placement.node});
     out.push_back(std::move(duplicate));
   }
 }
@@ -974,13 +887,8 @@ std::optional<double> Engine::next_wakeup(double now) const {
 void Engine::cancel_dependents(TaskId task) {
   for (TaskId succ : graph_.task(task).successors) {
     TaskRecord& s = graph_.task(succ);
-    if (s.state == TaskState::WaitingDeps || s.state == TaskState::Ready) {
-      if (s.state == TaskState::Ready) remove_from_ready(s);
-      s.state = TaskState::Cancelled;
-      s.failure_reason = "predecessor " + std::to_string(task) + " failed";
-      mark_terminal(succ);
-      cancel_dependents(succ);
-    }
+    if (s.state == TaskState::WaitingDeps || s.state == TaskState::Ready)
+      end_task(s, TaskState::Cancelled, "predecessor " + std::to_string(task) + " failed");
   }
 }
 
@@ -991,13 +899,8 @@ bool Engine::cancel(TaskId task, double now) {
   // still in flight. Dependents were doomed on the first cancel.
   if (record.abandoned) return false;
 
-  sink_.record(trace::Event{.kind = trace::EventKind::Cancel,
-                            .task_id = task,
-                            .study = record.study,
-                            .task_name = record.def.name,
-                            .node = record.state == TaskState::Running ? record.last_node : -1,
-                            .t_start = now,
-                            .t_end = now});
+  emit(trace::EventKind::Cancel, &record, now, now,
+       {.node = record.state == TaskState::Running ? record.last_node : -1});
 
   if (record.state == TaskState::Running) {
     // The attempt holds its resources until it reports back; the outcome
@@ -1010,11 +913,7 @@ bool Engine::cancel(TaskId task, double now) {
   }
 
   // WaitingDeps or Ready: never held resources, nothing to release.
-  if (record.state == TaskState::Ready) remove_from_ready(record);
-  record.state = TaskState::Cancelled;
-  record.failure_reason = "cancelled by caller";
-  mark_terminal(task);
-  cancel_dependents(task);
+  end_task(record, TaskState::Cancelled, "cancelled by caller");
   return true;
 }
 
@@ -1032,10 +931,7 @@ void Engine::handle_node_down(std::size_t node, double now, std::vector<Dispatch
   if (node >= resources_.node_count() || resources_.node_down(node)) return;
   resources_.mark_node_down(node);
   health_.on_node_down(node);
-  sink_.record(trace::Event{.kind = trace::EventKind::NodeDown,
-                            .node = static_cast<int>(node),
-                            .t_start = now,
-                            .t_end = now});
+  emit(trace::EventKind::NodeDown, nullptr, now, now, {.node = static_cast<int>(node)});
   log_warn("engine", "node {} failed at t={:.3f}", node, now);
 
   // Reap every in-flight attempt touching the node (primary or any
@@ -1061,11 +957,8 @@ void Engine::handle_node_down(std::size_t node, double now, std::vector<Dispatch
   // lost. Recovery is demanded lazily — by gated ready tasks, by running
   // consumers that hit DataLostError, or by wait_on.
   for (const LostVersion& lv : graph_.registry().drop_node_replicas(static_cast<int>(node))) {
-    sink_.record(trace::Event{.kind = trace::EventKind::DataLost,
-                              .task_id = lv.producer,
-                              .node = static_cast<int>(node),
-                              .t_start = now,
-                              .t_end = now});
+    emit(trace::EventKind::DataLost, nullptr, now, now,
+         {.node = static_cast<int>(node), .task_id = lv.producer});
     log_warn("engine", "d{}v{} lost with node {} (producer task {})", lv.data, lv.version, node,
              lv.producer);
   }
@@ -1077,10 +970,7 @@ void Engine::handle_node_up(std::size_t node, double now) {
   if (node >= resources_.node_count() || !resources_.node_down(node)) return;
   resources_.mark_node_up(node);
   health_.on_node_up(node);
-  sink_.record(trace::Event{.kind = trace::EventKind::NodeUp,
-                            .node = static_cast<int>(node),
-                            .t_start = now,
-                            .t_end = now});
+  emit(trace::EventKind::NodeUp, nullptr, now, now, {.node = static_cast<int>(node)});
   log_info("engine", "node {} rejoined at t={:.3f} (on probation)", node, now);
 }
 
@@ -1170,14 +1060,8 @@ void Engine::dispatch_recoveries(double now, std::vector<Dispatch>& out) {
     Dispatch d{.task = task, .placement = std::move(*placement), .variant = record.active_variant};
     d.attempt_id = register_attempt(task, d.placement, now, /*speculative=*/false,
                                     /*recovery=*/true);
-    sink_.record(trace::Event{.kind = trace::EventKind::LineageRecompute,
-                              .task_id = task,
-                              .study = record.study,
-                              .attempt = record.succeeded_attempt,
-                              .task_name = record.def.name,
-                              .node = d.placement.node,
-                              .t_start = now,
-                              .t_end = now});
+    emit(trace::EventKind::LineageRecompute, &record, now, now,
+         {.attempt = record.succeeded_attempt, .node = d.placement.node});
     log_info("engine", "lineage: recomputing task {} '{}' on node {}", task, record.def.name,
              d.placement.node);
     out.push_back(std::move(d));
@@ -1206,16 +1090,9 @@ Engine::Completion Engine::conclude_recovery(const Attempt& attempt, AttemptResu
   RecoveryJob& job = it->second;
   job.inflight = false;
 
-  sink_.record(trace::Event{.kind = trace::EventKind::TaskRun,
-                            .task_id = task,
-                            .study = record.study,
-                            .attempt = record.succeeded_attempt,
-                            .task_name = record.def.name,
-                            .node = attempt.placement.node,
-                            .cores = attempt.placement.cores,
-                            .gpus = attempt.placement.gpus,
-                            .t_start = start,
-                            .t_end = end});
+  emit(trace::EventKind::TaskRun, &record, start, end,
+       {.attempt = record.succeeded_attempt, .node = attempt.placement.node,
+        .cores = &attempt.placement.cores, .gpus = &attempt.placement.gpus});
 
   if (result.success) {
     if (!resources_.node_down(node)) health_.record_success(node);
@@ -1245,12 +1122,8 @@ Engine::Completion Engine::conclude_recovery(const Attempt& attempt, AttemptResu
     if (chain_ok) return completion;
   }
 
-  if (!resources_.node_down(node) && health_.record_failure(node)) {
-    sink_.record(trace::Event{.kind = trace::EventKind::Quarantine,
-                              .node = attempt.placement.node,
-                              .t_start = end,
-                              .t_end = end});
-  }
+  if (!resources_.node_down(node) && health_.record_failure(node))
+    emit(trace::EventKind::Quarantine, nullptr, end, end, {.node = attempt.placement.node});
   ++job.attempts;
   if (std::find(job.excluded_nodes.begin(), job.excluded_nodes.end(), attempt.placement.node) ==
       job.excluded_nodes.end())
@@ -1342,8 +1215,8 @@ bool Engine::reap_infeasible() {
   // Collect first, in StudyId then readiness order, then fail in that
   // order: failing unlinks the task from the list being walked.
   std::vector<TaskId> infeasible;
-  for (const auto& [study, shard] : ready_shards_) {
-    for (TaskId id = shard.head; id != kNoTask; id = graph_.task(id).ready_next) {
+  for (const auto& [study_id, study] : studies_) {
+    for (TaskId id = study.head; id != kNoTask; id = graph_.task(id).ready_next) {
       const TaskRecord& record = graph_.task(id);
       bool feasible = false;
       const int n_variants = static_cast<int>(record.def.variants.size());
@@ -1361,16 +1234,9 @@ bool Engine::reap_infeasible() {
       if (!feasible) infeasible.push_back(id);
     }
   }
-  for (TaskId id : infeasible) {
-    TaskRecord& record = graph_.task(id);
-    remove_from_ready(record);
-    record.state = TaskState::Failed;
-    record.failure_reason = "no live node can satisfy the constraint";
-    mark_terminal(id);
-    cancel_dependents(id);
-    progressed = true;
-  }
-  return progressed;
+  for (TaskId id : infeasible)
+    end_task(graph_.task(id), TaskState::Failed, "no live node can satisfy the constraint");
+  return progressed || !infeasible.empty();
 }
 
 bool Engine::task_terminal(TaskId task) const {

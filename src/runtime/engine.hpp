@@ -104,18 +104,9 @@ class Engine : private CandidateSource {
     on_terminal_ = std::move(listener);
   }
 
-  /// Notify that `task` was just added to the graph (possibly Ready).
-  /// Records the submit event flag at time `now`.
+  /// Notify that `task` was just added to the graph (possibly Ready) under
+  /// an open study. Records the submit event flag at time `now`.
   void on_submitted(TaskId task, double now) CHPO_REQUIRES(g_engine_ctx);
-
-  /// Batch variant: admit N just-inserted tasks in one engine call. The
-  /// per-task bookkeeping (counters, trace events, ready insertion) is
-  /// byte-identical to N on_submitted calls — batching exists so the
-  /// Runtime can amortize the context scope, the notification flush, and
-  /// the backend wakeup across a whole wave, never to change semantics
-  /// (sim schedules stay bit-identical either way).
-  void on_submitted_batch(const std::vector<TaskId>& tasks, double now)
-      CHPO_REQUIRES(g_engine_ctx);
 
   /// Place as many ready tasks as resources allow; marks them Running and
   /// records schedule events. Caller executes them and reports back.
@@ -199,15 +190,23 @@ class Engine : private CandidateSource {
 
   const SpeculationTracker& speculation() const { return speculation_; }
 
-  /// Install or replace the scheduling policy for `study`. Studies without
-  /// an explicit policy behave as weight 1.0, no cap, not paused.
-  void set_study_policy(StudyId study, StudyPolicy policy) CHPO_REQUIRES(g_engine_ctx);
+  /// Open a study under the next free id, with `policy` and `name`
+  /// ("study-<id>" when empty). Throws std::invalid_argument for a
+  /// fair-share weight <= 0. The main study (kMainStudy, "main") is open
+  /// from construction.
+  StudyId open_study(std::string name, StudyPolicy policy) CHPO_REQUIRES(g_engine_ctx);
+  /// `study` was opened and has not been released.
+  bool study_open(StudyId study) const;
+  /// The name `study` was opened with (requires study_open).
+  const std::string& study_name(StudyId study) const;
 
   /// Hold (or release) a study's ready queue. Pausing never touches
   /// in-flight attempts: they finish, commit, and notify as usual — only
   /// *new* placements for the study stop.
   void set_study_paused(StudyId study, bool paused) CHPO_REQUIRES(g_engine_ctx);
   bool study_paused(StudyId study) const;
+  /// Release every study's ready queue (shutdown drains everything).
+  void resume_all_studies() CHPO_REQUIRES(g_engine_ctx);
 
   /// Cancel every non-terminal task carrying `study`'s tag (per-task
   /// cancel() semantics: ready tasks turn Cancelled immediately, running
@@ -216,17 +215,17 @@ class Engine : private CandidateSource {
   /// Returns the number of tasks newly cancelled.
   std::size_t cancel_study(StudyId study, double now) CHPO_REQUIRES(g_engine_ctx);
 
-  /// Forget a closed study. Frees the closures of its terminal tasks with
-  /// no live (non-terminal) consumer and marks them `released`, so lineage
+  /// Forget a closed study: it stops being open and its ready queue is
+  /// released. Frees the closures of its terminal tasks with no live
+  /// (non-terminal) consumer and marks them `released`, so lineage
   /// recovery never calls an empty body. Once every task of the study is
-  /// terminal it also drops the study's ready shard, policy and task index
-  /// and returns true; until then it returns false and the caller repeats
-  /// the call when the stragglers have landed.
-  bool release_study(StudyId study) CHPO_REQUIRES(g_engine_ctx);
+  /// terminal the study's record is erased; until then the release is
+  /// finished by flush_notifications when the last straggler lands.
+  void release_study(StudyId study) CHPO_REQUIRES(g_engine_ctx);
 
   /// Ids of every task submitted under `study`, in submission order (empty
-  /// once the study is released). Per-study queries walk this instead of
-  /// the whole graph.
+  /// once a released study's record is erased). Per-study queries walk
+  /// this instead of the whole graph.
   const std::vector<TaskId>& study_tasks(StudyId study) const;
 
   /// Tasks submitted / terminal under `study` (per-study barrier math).
@@ -295,6 +294,8 @@ class Engine : private CandidateSource {
   /// graph and adding successor edges to existing tasks) or cancel others.
   /// Re-entrant calls (a callback submitting/cancelling flushes again) are
   /// no-ops; the outermost flush drains everything queued along the way.
+  /// A notification that leaves a released study quiescent finishes that
+  /// study's release before it is delivered.
   void flush_notifications() CHPO_REQUIRES(g_engine_ctx);
 
   bool task_terminal(TaskId task) const;
@@ -356,42 +357,51 @@ class Engine : private CandidateSource {
       return priority != other.priority ? priority : id < other.id;
     }
   };
-  /// One study's ready queue, held in two orders with one removal rule:
-  /// a task is in both exactly while its record's in_ready is set.
-  /// Readiness order (Fifo's order, and the membership of a max_running
-  /// quota) is a doubly linked list threaded through the records'
-  /// ready_prev / ready_next, from `head` to `tail`; `ordered` holds the
-  /// same tasks by rank. push_ready appends to both and remove_from_ready
-  /// unlinks from both, so a round walks only ready tasks. `running`
-  /// counts the study's non-recovery in-flight attempts, the fair-share
-  /// deficit's input.
-  struct ReadyShard {
+  /// Everything the engine keeps about one study. Created by open_study
+  /// (the main study at construction) and erased once, when the study is
+  /// released and every task of it is terminal; nothing recreates it.
+  struct Study {
+    std::string name;
+    StudyPolicy policy;
+    /// The ready shard, held in two orders with one removal rule: a task
+    /// is in both exactly while its record's in_ready is set. Readiness
+    /// order (Fifo's order, and the membership of a max_running quota) is
+    /// a doubly linked list threaded through the records' ready_prev /
+    /// ready_next, from `head` to `tail`; `ordered` holds the same tasks
+    /// by rank. push_ready appends to both and remove_from_ready unlinks
+    /// from both, so a round walks only ready tasks.
     TaskId head = kNoTask;
     TaskId tail = kNoTask;
     std::set<RankedTask> ordered;
+    /// Non-recovery in-flight attempts, the fair-share deficit's input.
     int running = 0;
+    /// Tasks submitted / terminal, the per-study barrier's counters.
+    std::size_t submitted = 0;
+    std::size_t terminal = 0;
+    std::vector<TaskId> tasks;  ///< submission order: the per-study task index
+    bool released = false;      ///< release_study ran; erased once quiescent
   };
-  /// One shard's view of the current scheduling round (paused shards and
-  /// shards at quota get none). The cursors hold positions in the shard's
-  /// readiness list and rank set, so nothing may leave a shard while a
-  /// round's cursors are open: schedule() removes its placements only
+  /// One study's view of the current scheduling round (paused studies and
+  /// studies at quota get none). The cursors hold positions in the study's
+  /// readiness list and rank set, so nothing may leave a ready queue while
+  /// a round's cursors are open: schedule() removes its placements only
   /// after the scheduler returns.
   struct RoundCursor {
     static constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
-    ReadyShard* shard = nullptr;
-    /// Candidates the shard may contribute: the free quota under
+    Study* study = nullptr;
+    /// Candidates the study may contribute: the free quota under
     /// max_running, unbounded otherwise.
     std::size_t budget = kUnbounded;
     std::size_t taken = 0;
     /// Next task of the readiness list to examine this round.
     TaskId next_ready = kNoTask;
-    /// Next unpulled task of `ordered` (uncapped shards).
+    /// Next unpulled task of `ordered` (uncapped studies).
     std::set<RankedTask>::const_iterator ranked;
     /// Fair-share deficit numerator: running attempts plus grants so far.
     int active = 0;
     double inv_weight = 1.0;
     bool exhausted = false;
-    /// A quota shard's candidates for next_by_priority, sorted, as a
+    /// A quota study's candidates for next_by_priority, sorted, as a
     /// [next, end) range of round_members_.
     std::size_t member_next = 0;
     std::size_t member_end = 0;
@@ -425,7 +435,28 @@ class Engine : private CandidateSource {
   }
   /// Count `record` in (+1) or out of (-1) the ready demand maps.
   void count_demand(const TaskRecord& record, int delta);
-  StudyPolicy policy_for(StudyId study) const;
+
+  /// The fields of an engine trace event besides its kind, task and
+  /// instants. A task event leaves task_id and study unset: emit takes
+  /// them, with the name, from the task's record.
+  struct EventFields {
+    int attempt = 0;
+    int node = -1;
+    const std::vector<unsigned>* cores = nullptr;
+    const std::vector<unsigned>* gpus = nullptr;
+    std::uint64_t task_id = 0;  ///< node and study events: the event's subject
+    StudyId study = kMainStudy;
+  };
+  /// The engine's one trace-event builder: the event about `task` (null
+  /// for a node or study event) from `t_start` to `t_end`. Returns before
+  /// building anything while the sink is disabled.
+  void emit(trace::EventKind kind, const TaskRecord* task, double t_start, double t_end,
+            const EventFields& fields);
+  /// The one way a task ends other than by its own attempt succeeding:
+  /// leave the ready queue if queued, take `state` and `reason`, stamp the
+  /// completion order and cancel the dependents.
+  void end_task(TaskRecord& record, TaskState state, std::string reason)
+      CHPO_REQUIRES(g_engine_ctx);
 
   void make_ready(TaskId task) CHPO_REQUIRES(g_engine_ctx);
   /// Append `record` to its study's readiness list and rank set.
@@ -483,9 +514,11 @@ class Engine : private CandidateSource {
   trace::TraceSink& sink_;
   SpeculationTracker speculation_;
   NodeHealth health_;
-  /// One ready queue per study (see ReadyShard), in StudyId order.
-  std::map<StudyId, ReadyShard> ready_shards_;
-  std::size_t ready_total_ = 0;  ///< ready tasks across shards
+  /// Every open study, and released ones whose last tasks are still in
+  /// flight, in StudyId order.
+  std::map<StudyId, Study> studies_;
+  StudyId next_study_ = kMainStudy + 1;
+  std::size_t ready_total_ = 0;  ///< ready tasks across studies
   /// State of the scheduling round in progress, reused across rounds so a
   /// storm pays no allocation per round: the cursors (StudyId order), the
   /// sorted quota candidates they index and the sorted ids the lineage
@@ -500,18 +533,6 @@ class Engine : private CandidateSource {
   /// a round stops pulling at (see smallest_demand).
   std::map<unsigned, std::size_t> ready_cpu_demand_;
   std::map<unsigned, std::size_t> ready_gpu_demand_;
-  /// Studies with an explicit policy (weight / cap / paused). Absent
-  /// studies use the defaults, so the map stays empty until sessions ask
-  /// for something non-default.
-  std::map<StudyId, StudyPolicy> study_policies_;
-  /// Per-study submitted/terminal tallies for study_quiescent(), plus the
-  /// study's task ids in submission order (the per-study task index).
-  struct StudyCounters {
-    std::size_t submitted = 0;
-    std::size_t terminal = 0;
-    std::vector<TaskId> tasks;
-  };
-  std::map<StudyId, StudyCounters> study_counts_;
   /// Time-ordered membership changes not yet applied (injector timeline +
   /// chaos hooks). Consumed front to back; kept sorted past the cursor.
   std::vector<NodeEvent> node_events_;

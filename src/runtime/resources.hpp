@@ -61,9 +61,6 @@ class ResourceState {
   void mark_node_up(std::size_t node);
   bool node_down(std::size_t node) const;
 
-  /// Historical alias for mark_node_down.
-  void fail_node(std::size_t node) { mark_node_down(node); }
-
   unsigned free_cpus(std::size_t node) const;
   unsigned free_gpus(std::size_t node) const;
   std::size_t node_count() const { return nodes_.size(); }

@@ -28,7 +28,6 @@ Runtime::Runtime(RuntimeOptions options)
     backend_ = std::make_unique<SimBackend>(engine_, options_.sim);
   else
     backend_ = std::make_unique<ThreadBackend>(engine_);
-  studies_[kMainStudy] = "main";
   log_info("runtime", "started: {} nodes, scheduler={}, backend={}", options_.cluster.nodes.size(),
            options_.scheduler, options_.simulate ? "sim" : "threads");
 }
@@ -39,7 +38,7 @@ Runtime::~Runtime() {
     // forever: shutdown drains everything, so release every study first.
     {
       EngineContextScope ctx(g_engine_ctx);
-      for (const auto& [id, name] : studies_) engine_.set_study_paused(id, false);
+      engine_.resume_all_studies();
     }
     barrier();
   } catch (const std::exception& e) {
@@ -58,37 +57,33 @@ Future Runtime::submit(const TaskDef& def, const std::vector<Param>& params,
 
 Future Runtime::submit_study(StudyId study, const TaskDef& def, const std::vector<Param>& params,
                              CompletionCallback on_complete) {
-  if (studies_.find(study) == studies_.end())
-    throw std::invalid_argument("Runtime: submit into unknown study " + std::to_string(study));
-  EngineContextScope ctx(g_engine_ctx);
-  const TaskId id = graph_.add_task(def, params, study);
-  // Register before on_submitted: a task doomed at submission (failed
-  // predecessor) or with an unsatisfiable constraint turns terminal inside
-  // that call and must still fire its callback.
-  if (on_complete) callbacks_[id] = std::move(on_complete);
-  engine_.on_submitted(id, backend_->now());
-  engine_.flush_notifications();
-  return graph_.task(id).result;
+  std::vector<BatchItem> items;
+  items.push_back(BatchItem{.def = def, .params = params, .on_complete = std::move(on_complete)});
+  return submit_study_batch(study, std::move(items)).front();
 }
 
 std::vector<Future> Runtime::submit_study_batch(StudyId study, std::vector<BatchItem> items) {
-  if (studies_.find(study) == studies_.end())
-    throw std::invalid_argument("Runtime: submit into unknown study " + std::to_string(study));
   EngineContextScope ctx(g_engine_ctx);
+  if (!engine_.study_open(study))
+    throw std::invalid_argument("Runtime: submit into unknown study " + std::to_string(study));
   std::vector<TaskId> ids;
   ids.reserve(items.size());
   // Phase 1: graph insertion + callback registration for the whole wave.
-  // Callbacks must exist before admission (a task doomed at submission
-  // turns terminal inside on_submitted_batch and must still fire), and
-  // inserting everything first lets intra-batch dependencies resolve no
-  // matter how admission reorders terminal transitions.
+  // Callbacks must exist before admission (a task doomed at submission, or
+  // with an unsatisfiable constraint, turns terminal inside on_submitted
+  // and must still fire), and inserting everything first lets
+  // intra-batch dependencies resolve no matter how admission reorders
+  // terminal transitions.
   for (BatchItem& item : items) {
-    const TaskId id = graph_.add_task(item.def, item.params, study);
+    const TaskId id = graph_.add_task(std::move(item.def), item.params, study);
     if (item.on_complete) callbacks_[id] = std::move(item.on_complete);
     ids.push_back(id);
   }
-  // Phase 2: one admission pass + one notification flush for N tasks.
-  engine_.on_submitted_batch(ids, backend_->now());
+  // Phase 2: admit the wave in submission order, then one notification
+  // flush for all of it. Admission is per task either way, so a wave and
+  // the same tasks submitted one by one schedule bit-identically.
+  const double now = backend_->now();
+  for (const TaskId id : ids) engine_.on_submitted(id, now);
   engine_.flush_notifications();
   std::vector<Future> futures;
   futures.reserve(ids.size());
@@ -97,30 +92,26 @@ std::vector<Future> Runtime::submit_study_batch(StudyId study, std::vector<Batch
 }
 
 StudySession Runtime::open_study(StudyOptions study) {
-  const StudyId id = next_study_++;
-  if (study.name.empty()) study.name = "study-" + std::to_string(id);
-  studies_[id] = study.name;
   EngineContextScope ctx(g_engine_ctx);
-  engine_.set_study_policy(id, StudyPolicy{.weight = study.weight,
-                                           .max_running = study.max_running,
-                                           .paused = false});
+  const StudyId id = engine_.open_study(
+      std::move(study.name), StudyPolicy{.weight = study.weight, .max_running = study.max_running});
+  const std::string& name = engine_.study_name(id);
   sink_.record(trace::Event{.kind = trace::EventKind::StudyOpen,
                             .study = id,
-                            .task_name = study.name,
+                            .task_name = name,
                             .t_start = backend_->now(),
                             .t_end = backend_->now()});
-  log_info("runtime", "study {} '{}' opened (weight={}, max_running={})", id, study.name,
-           study.weight, study.max_running);
+  log_info("runtime", "study {} '{}' opened (weight={}, max_running={})", id, name, study.weight,
+           study.max_running);
   return StudySession(this, id);
 }
 
 StudySession Runtime::main_study() { return StudySession(this, kMainStudy); }
 
 const std::string& Runtime::study_name(StudyId study) const {
-  const auto it = studies_.find(study);
-  if (it == studies_.end())
+  if (!engine_.study_open(study))
     throw std::invalid_argument("Runtime: unknown study " + std::to_string(study));
-  return it->second;
+  return engine_.study_name(study);
 }
 
 void Runtime::set_study_paused(StudyId study, bool paused) {
@@ -159,14 +150,6 @@ void Runtime::on_task_terminal(TaskId task, TaskState state) {
   // turned terminal, but before its notification fired, is queued already.
   if (tracked_.contains(task) && (tracked_done_.empty() || tracked_done_.back() != task))
     tracked_done_.push_back(task);
-  const StudyId study = graph_.task(task).study;
-  // A released study's last straggler landed: drop what the engine kept.
-  // Runs inside flush_notifications, which holds the engine context behind
-  // the listener's std::function boundary.
-  if (!releasing_.empty() && releasing_.contains(study) && engine_.study_quiescent(study)) {
-    assert_engine_context();
-    if (engine_.release_study(study)) releasing_.erase(study);
-  }
   const auto it = callbacks_.find(task);
   if (it == callbacks_.end()) return;
   CompletionCallback callback = std::move(it->second);
@@ -258,13 +241,9 @@ void Runtime::release_study(StudyId study) {
     throw std::invalid_argument("Runtime: the main study cannot be released");
   study_name(study);  // validate
   EngineContextScope ctx(g_engine_ctx);
-  studies_.erase(study);
-  // Whatever the study still has outstanding must be able to drain (the
-  // destructor's final barrier no longer sees the id to unpause it).
-  engine_.set_study_paused(study, false);
   // Attempts a kill abandoned may still be running: the engine keeps the
-  // study's index until they land, and on_task_terminal finishes the job.
-  if (!engine_.release_study(study)) releasing_.insert(study);
+  // study's record until they land.
+  engine_.release_study(study);
 }
 
 bool Runtime::wait_all_for(double seconds) {

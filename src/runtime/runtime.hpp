@@ -25,7 +25,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -157,9 +156,9 @@ class Runtime {
   StudyProgress study_progress(StudyId study) const;
 
   /// Forget a closed study: free the closures (body, cost, variants) of its
-  /// terminal tasks that no live task consumes, drop its ready shard, its
-  /// policy and its task index, and unregister the id (submitting into it
-  /// or asking for its name throws afterwards). The graph keeps the records
+  /// terminal tasks that no live task consumes, drop the engine's record of
+  /// it (ready shard, policy and task index), and unregister the id
+  /// (submitting into it or asking for its name throws afterwards). The graph keeps the records
   /// themselves, so futures, values and the DOT export stay valid; a
   /// lineage demand on a freed task fails its consumer with
   /// TaskFailedError. Attempts a kill abandoned may still be running: the
@@ -179,9 +178,9 @@ class Runtime {
   /// Submit a whole wave of tasks in one engine round-trip: one coordinator
   /// context acquisition, one admission pass and one notification flush for
   /// the entire batch instead of per task. Semantically identical to calling
-  /// submit() per item in order — the engine admits batch members through
-  /// the same per-task path, so simulated schedules are bit-identical either
-  /// way. Returns the futures in item order.
+  /// submit() per item in order — submit() is the one-item batch, so
+  /// simulated schedules are bit-identical either way. Returns the futures
+  /// in item order.
   std::vector<Future> submit_batch(std::vector<BatchItem> items) {
     return submit_study_batch(kMainStudy, std::move(items));
   }
@@ -296,13 +295,14 @@ class Runtime {
 
   void on_task_terminal(TaskId task, TaskState state);
 
-  /// Session plumbing (called by StudySession; study must be registered).
+  /// Session plumbing (called by StudySession; throws for a study that is
+  /// not open). The one admission path: inserts every item into the graph
+  /// and registers its callback first, then admits the wave through
+  /// Engine::on_submitted in order and flushes once. See submit_batch().
+  std::vector<Future> submit_study_batch(StudyId study, std::vector<BatchItem> items);
+  /// The one-item case of submit_study_batch.
   Future submit_study(StudyId study, const TaskDef& def, const std::vector<Param>& params,
                       CompletionCallback on_complete);
-  /// Batch flavour of submit_study: inserts every item into the graph and
-  /// registers its callback first, then admits the whole wave with a single
-  /// Engine::on_submitted_batch + flush. See submit_batch() for semantics.
-  std::vector<Future> submit_study_batch(StudyId study, std::vector<BatchItem> items);
   void set_study_paused(StudyId study, bool paused);
   bool is_study_paused(StudyId study) const;
   /// Tear down one study's in-flight work (kill / early-stop). Returns the
@@ -325,13 +325,6 @@ class Runtime {
   std::unordered_set<TaskId> tracked_;
   std::deque<TaskId> tracked_done_;
   std::map<TaskId, CompletionCallback> callbacks_;
-  /// Names of the open studies by id; kMainStudy ("main") is registered at
-  /// construction.
-  std::map<StudyId, std::string> studies_;
-  /// Released studies whose abandoned attempts are still running (see
-  /// release_study); emptied as those attempts land.
-  std::set<StudyId> releasing_;
-  StudyId next_study_ = kMainStudy + 1;
 };
 
 }  // namespace chpo::rt

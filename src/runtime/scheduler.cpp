@@ -110,15 +110,6 @@ std::vector<Dispatch> schedule_in_order(CandidateSource& ready, bool by_priority
 
 }  // namespace
 
-std::optional<Placement> place_first_fit(const TaskRecord& task, ResourceState& resources,
-                                         const NodeHealth* health) {
-  for (std::size_t node = 0; node < resources.node_count(); ++node) {
-    if (node_excluded(task, node) || !health_allows(health, node)) continue;
-    if (auto placement = resources.try_allocate(node, task.def.constraint)) return placement;
-  }
-  return std::nullopt;
-}
-
 std::optional<Placement> place_duplicate(const TaskRecord& task, const Constraint& constraint,
                                          ResourceState& resources, int avoid_node) {
   for (std::size_t node = 0; node < resources.node_count(); ++node) {

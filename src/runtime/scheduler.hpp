@@ -137,12 +137,6 @@ class CostAwareScheduler : public Scheduler {
 /// Factory by name: "fifo", "priority", "locality", "cost-aware".
 std::unique_ptr<Scheduler> make_scheduler(const std::string& name);
 
-/// Shared helper: first node (by index) that can take the task now,
-/// skipping the task's excluded nodes and (when `health` is non-null)
-/// nodes the health tracker disallows. Returns the placement or nullopt.
-std::optional<Placement> place_first_fit(const TaskRecord& task, ResourceState& resources,
-                                         const NodeHealth* health = nullptr);
-
 /// Placement for a speculative duplicate of a straggling attempt: first
 /// node that satisfies `constraint` now, skipping the task's excluded
 /// (blacklisted) nodes and `avoid_node` — the node the straggling original

@@ -282,6 +282,23 @@ TEST(HotPathStdFunction, FlagsAllocationInTheCandidateSource) {
   EXPECT_NE(hits[1].message.find("Engine::walk_fifo"), std::string::npos);
 }
 
+TEST(HotPathStdFunction, FlagsAllocationInTheEventBuilderAndTerminalFunnel) {
+  // Every traced transition goes through emit and every early end through
+  // end_task, once per task or more.
+  const auto findings = lint_files(
+      {{"src/runtime/engine.cpp",
+        "void Engine::emit(trace::EventKind kind, const TaskRecord* task) {\n"
+        "  std::function<void(trace::Event&)> fill = [task](trace::Event& e) { name(e, task); };\n"
+        "}\n"
+        "void Engine::end_task(TaskRecord& record, TaskState state, std::string reason) {\n"
+        "  std::function<void()> doom = [&] { cancel_dependents(record.id); };\n"
+        "}\n"}});
+  const auto hits = of_rule(findings, "hot-path-std-function");
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_NE(hits[0].message.find("Engine::emit"), std::string::npos);
+  EXPECT_NE(hits[1].message.find("Engine::end_task"), std::string::npos);
+}
+
 TEST(HotPathStdFunction, AllowsColdMethodsAndOtherFiles) {
   // Backend::drive takes a std::function once per wait (its own definition
   // line — the method tracker must attribute it to drive, not the previous
@@ -465,8 +482,8 @@ TEST(RegistryLockBlockingCall, FlagsJournalSyncAndFsyncUnderLock) {
 }
 
 TEST(RegistryLockBlockingCall, FlagsNextCompletionUnderLock) {
-  // next_completion drives the engine until a tracked task lands — as
-  // blocking as wait_any, so it may not run under a queue lock either.
+  // next_completion drives the engine until a tracked task lands, as
+  // blocking as wait_on, so it may not run under a queue lock either.
   const auto findings = lint_files({{"src/daemon/server.cpp",
                                      "void Server::drain() {\n"
                                      "  MutexLock lock(queue_mutex_);\n"

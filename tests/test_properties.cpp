@@ -858,6 +858,28 @@ struct ScheduleHash {
   void add_time(double seconds) { add(static_cast<std::uint64_t>(std::llround(seconds * 1e9))); }
 };
 
+/// Fold a trace into `hash`: kind, task, study, attempt, node, cores and
+/// start/end to 1 ns for every event, plus its task name and gpus when
+/// `every_field` is set. The pinned schedule hashes leave those two out.
+void hash_trace(const std::vector<trace::Event>& events, ScheduleHash& hash, bool every_field) {
+  for (const trace::Event& e : events) {
+    hash.add(static_cast<std::uint64_t>(e.kind));
+    hash.add(e.task_id);
+    hash.add(e.study);
+    hash.add(static_cast<std::uint64_t>(e.attempt));
+    hash.add(static_cast<std::uint64_t>(e.node));
+    hash.add(e.cores.size());
+    for (const unsigned core : e.cores) hash.add(core);
+    hash.add_time(e.t_start);
+    hash.add_time(e.t_end);
+    if (!every_field) continue;
+    hash.add(e.task_name.size());
+    for (const char c : e.task_name) hash.add(static_cast<unsigned char>(c));
+    hash.add(e.gpus.size());
+    for (const unsigned gpu : e.gpus) hash.add(gpu);
+  }
+}
+
 void run_golden_program(std::uint64_t seed, ScheduleHash& hash) {
   Rng rng(seed * 7919 + 13);
   const auto nodes = static_cast<std::size_t>(rng.next_int(2, 4));
@@ -981,17 +1003,7 @@ void run_golden_program(std::uint64_t seed, ScheduleHash& hash) {
     if (killed[n]) runtime.revive_node(n);
   runtime.barrier();
   note_wait(runtime.task_count());
-  for (const trace::Event& e : runtime.trace().events()) {
-    hash.add(static_cast<std::uint64_t>(e.kind));
-    hash.add(e.task_id);
-    hash.add(e.study);
-    hash.add(static_cast<std::uint64_t>(e.attempt));
-    hash.add(static_cast<std::uint64_t>(e.node));
-    hash.add(e.cores.size());
-    for (const unsigned core : e.cores) hash.add(core);
-    hash.add_time(e.t_start);
-    hash.add_time(e.t_end);
-  }
+  hash_trace(runtime.trace().events(), hash, /*every_field=*/false);
 }
 
 TEST(GoldenSchedules, SimulatorSchedulesMatchThePinnedHash) {
@@ -1017,7 +1029,7 @@ TEST(GoldenSchedules, SimulatorSchedulesMatchThePinnedHash) {
 // ---------------------------------------------------------------------
 
 void run_scheduler_matrix_program(const std::string& scheduler, std::uint64_t seed,
-                                  ScheduleHash& hash) {
+                                  ScheduleHash& hash, bool every_field = false) {
   Rng rng(seed * 6151 + 29);
   const std::size_t nodes = 3;
   RuntimeOptions opts;
@@ -1121,17 +1133,7 @@ void run_scheduler_matrix_program(const std::string& scheduler, std::uint64_t se
   // mid-attempt is doomed when that attempt lands, not stranded.
   runtime.barrier();
   note(runtime.task_count());
-  for (const trace::Event& e : runtime.trace().events()) {
-    hash.add(static_cast<std::uint64_t>(e.kind));
-    hash.add(e.task_id);
-    hash.add(e.study);
-    hash.add(static_cast<std::uint64_t>(e.attempt));
-    hash.add(static_cast<std::uint64_t>(e.node));
-    hash.add(e.cores.size());
-    for (const unsigned core : e.cores) hash.add(core);
-    hash.add_time(e.t_start);
-    hash.add_time(e.t_end);
-  }
+  hash_trace(runtime.trace().events(), hash, every_field);
 }
 
 TEST(GoldenSchedules, SchedulerMatrixMatchesThePinnedHash) {
@@ -1143,6 +1145,20 @@ TEST(GoldenSchedules, SchedulerMatrixMatchesThePinnedHash) {
       run_scheduler_matrix_program(scheduler, seed, hash);
   set_log_level(before);
   EXPECT_EQ(hash.value, 10956210007677439803ULL) << "simulated schedules changed";
+}
+
+// The hashes above skip task names and gpus, so an event labelled with
+// the wrong task, or a TaskRun that lost its gpus, would pass them. This
+// one folds every trace::Event field over the same programs.
+TEST(GoldenSchedules, SchedulerMatrixPinsEveryTraceField) {
+  const LogLevel before = log_level();
+  set_log_level(LogLevel::Error);
+  ScheduleHash hash;
+  for (const std::string scheduler : {"fifo", "priority", "locality", "cost-aware"})
+    for (std::uint64_t seed = 0; seed < 16; ++seed)
+      run_scheduler_matrix_program(scheduler, seed, hash, /*every_field=*/true);
+  set_log_level(before);
+  EXPECT_EQ(hash.value, 13886054309858999129ULL) << "trace events changed";
 }
 
 

@@ -95,7 +95,7 @@ TEST(Resources, DedicatedWorkerNodeUnusable) {
 
 TEST(Resources, FailedNodeRejectsAllocation) {
   ResourceState rs(cluster::marenostrum4(2));
-  rs.fail_node(0);
+  rs.mark_node_down(0);
   EXPECT_TRUE(rs.node_down(0));
   EXPECT_FALSE(rs.try_allocate(0, Constraint{.cpus = 1}));
   EXPECT_EQ(rs.free_cpus(0), 0u);
@@ -123,7 +123,6 @@ TEST(Resources, UnknownNodeQueries) {
   EXPECT_FALSE(rs.try_allocate(9, Constraint{}));
   EXPECT_FALSE(rs.could_fit(9, Constraint{}));
   // Membership mutations and queries validate the index consistently.
-  EXPECT_THROW(rs.fail_node(9), std::out_of_range);
   EXPECT_THROW(rs.mark_node_down(9), std::out_of_range);
   EXPECT_THROW(rs.mark_node_up(9), std::out_of_range);
   EXPECT_THROW(rs.node_down(9), std::out_of_range);

@@ -69,6 +69,7 @@ std::vector<std::size_t> engine_round(const std::string& scheduler,
   Engine engine(graph, cluster::marenostrum4(1), EngineOptions{.scheduler = scheduler},
                 FaultInjector{}, sink);
   EngineContextScope ctx(g_engine_ctx);
+  engine.open_study("side", {});  // study 1 next to the main study
   std::vector<TaskId> ids;
   for (const Queued& task : tasks) {
     TaskDef def;
@@ -77,9 +78,7 @@ std::vector<std::size_t> engine_round(const std::string& scheduler,
     def.priority = task.priority;
     ids.push_back(graph.add_task(def, {}, task.study));
   }
-  std::vector<TaskId> wave;
-  for (const std::size_t index : ready) wave.push_back(ids[index]);
-  engine.on_submitted_batch(wave, 0.0);
+  for (const std::size_t index : ready) engine.on_submitted(ids[index], 0.0);
   std::vector<std::size_t> placed;
   for (const Dispatch& d : engine.schedule(0.0))
     placed.push_back(static_cast<std::size_t>(
@@ -173,15 +172,6 @@ TEST_F(SchedulerFixture, LocalityFallsBackToFirstFit) {
   const auto dispatches = schedule(sched, {t}, rs);
   ASSERT_EQ(dispatches.size(), 1u);
   EXPECT_EQ(dispatches[0].placement.node, 0);
-}
-
-TEST_F(SchedulerFixture, PlaceFirstFitHelper) {
-  ResourceState rs(cluster::marenostrum4(2));
-  const TaskId t = add({.cpus = 48});
-  rs.try_allocate(0, Constraint{.cpus = 1});  // node 0 can no longer take 48
-  const auto p = place_first_fit(graph.task(t), rs);
-  ASSERT_TRUE(p);
-  EXPECT_EQ(p->node, 1);
 }
 
 TEST_F(SchedulerFixture, FactoryByName) {
@@ -330,8 +320,8 @@ double visits_per_task(const std::string& scheduler, StormShape shape, int studi
                 FaultInjector{}, sink);
   SimBackend backend(engine);
   EngineContextScope ctx(g_engine_ctx);
-  if (studies > 1)
-    engine.set_study_policy(static_cast<StudyId>(studies - 1), StudyPolicy{.max_running = 3});
+  for (int s = 1; s < studies; ++s)
+    engine.open_study({}, StudyPolicy{.max_running = s == studies - 1 ? 3 : 0});
   TaskDef def;
   def.name = "tiny";
   def.constraint = {.cpus = shape.task_cpus};
@@ -339,7 +329,7 @@ double visits_per_task(const std::string& scheduler, StormShape shape, int studi
     std::vector<TaskId> wave;
     for (int i = s; i < tasks; i += studies)
       wave.push_back(graph.add_task(def, {}, static_cast<StudyId>(s)));
-    engine.on_submitted_batch(wave, backend.now());
+    for (const TaskId id : wave) engine.on_submitted(id, backend.now());
   }
   backend.drive([&] { return engine.quiescent(); });
   EXPECT_EQ(graph.tasks_in_state(TaskState::Done).size(), static_cast<std::size_t>(tasks));

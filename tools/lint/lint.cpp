@@ -213,10 +213,9 @@ void rule_callback_in_engine_mutation(const SourceFile& file,
 /// the journal's fsync barrier; the rest drive the Server/StudyManager/
 /// engine. CondVar waits stay exempt — they release the mutex.
 bool blocking_method(const std::string& name) {
-  static const char* kBlocking[] = {"handle",       "handle_line_error", "step",
-                                    "step_for",     "run_all",           "wait_any",
-                                    "wait_any_for", "next_completion",   "wait_on",
-                                    "barrier",      "sync"};
+  static const char* kBlocking[] = {"handle",  "handle_line_error", "step",    "step_for",
+                                    "run_all", "next_completion",   "wait_on", "barrier",
+                                    "sync"};
   for (const char* m : kBlocking)
     if (name == m) return true;
   return false;
@@ -547,12 +546,12 @@ void rule_lock_rank_order(const std::vector<SourceFile>& files,
 /// once per wait, not once per task — and stays off this list.
 bool hot_path_method(const std::string& qualifier, const std::string& name) {
   if (qualifier == "Engine") {
-    static const char* kHot[] = {"on_submitted",      "on_submitted_batch", "make_ready",
-                                 "push_ready",        "remove_from_ready",  "count_demand",
-                                 "schedule",          "open_round",         "next_by_readiness",
-                                 "next_by_priority",  "smallest_demand",    "walk_fifo",
-                                 "ranked_head",       "register_attempt",   "prepare_body",
-                                 "complete_attempt",  "conclude_attempt"};
+    static const char* kHot[] = {"on_submitted",     "make_ready",        "push_ready",
+                                 "remove_from_ready", "count_demand",      "emit",
+                                 "end_task",          "schedule",          "open_round",
+                                 "next_by_readiness", "next_by_priority",  "smallest_demand",
+                                 "walk_fifo",         "ranked_head",       "register_attempt",
+                                 "prepare_body",      "complete_attempt",  "conclude_attempt"};
     for (const char* method : kHot)
       if (name == method) return true;
     return false;

@@ -32,7 +32,7 @@
 //                              mutation path holding TaskRecord references.
 //   registry-lock-blocking-call  src/daemon/ may not call a blocking
 //                              Server/StudyManager/journal method (.handle,
-//                              .step, .step_for, .run_all, .wait_any*,
+//                              .step, .step_for, .run_all,
 //                              .next_completion, .wait_on, .barrier,
 //                              .sync) — or fsync() —
 //                              while a MutexLock guard is live: the
