@@ -116,22 +116,28 @@ void Engine::flush_notifications() {
   }
 }
 
-namespace {
-
-/// Any implementation (primary or @implement variant) feasible?
-bool any_implementation_feasible(const TaskRecord& record, const ResourceState& resources) {
-  if (resources.feasible(record.def.constraint)) return true;
-  for (const TaskVariant& variant : record.def.variants)
-    if (resources.feasible(variant.constraint)) return true;
-  return false;
+bool Engine::feasible(const TaskRecord& record) const {
+  const int n_variants = static_cast<int>(record.def.variants.size());
+  for (int variant = -1; variant < n_variants; ++variant) {
+    const Constraint& constraint = record.implementation_constraint(variant);
+    const unsigned wanted = std::max(1u, constraint.nodes);
+    unsigned fitting = 0;
+    for (std::size_t node = 0; node < resources_.node_count() && fitting < wanted; ++node) {
+      if (std::find(record.excluded_nodes.begin(), record.excluded_nodes.end(),
+                    static_cast<int>(node)) != record.excluded_nodes.end())
+        continue;
+      if (resources_.could_fit(node, constraint)) ++fitting;
+    }
+    if (fitting == wanted) return true;
+  }
+  // Capacity that is scheduled to return is not gone.
+  return node_up_pending();
 }
-
-}  // namespace
 
 void Engine::make_ready(TaskId task) {
   TaskRecord& record = graph_.task(task);
   record.state = TaskState::Ready;
-  if (!any_implementation_feasible(record, resources_)) {
+  if (!feasible(record)) {
     log_warn("engine", "task {} '{}' has an unsatisfiable constraint ({} cpus, {} gpus)", task,
              record.def.name, record.def.constraint.cpus, record.def.constraint.gpus);
     end_task(record, TaskState::Failed, "constraint unsatisfiable on this cluster");
@@ -1216,23 +1222,8 @@ bool Engine::reap_infeasible() {
   // order: failing unlinks the task from the list being walked.
   std::vector<TaskId> infeasible;
   for (const auto& [study_id, study] : studies_) {
-    for (TaskId id = study.head; id != kNoTask; id = graph_.task(id).ready_next) {
-      const TaskRecord& record = graph_.task(id);
-      bool feasible = false;
-      const int n_variants = static_cast<int>(record.def.variants.size());
-      for (int variant = -1; variant < n_variants && !feasible; ++variant) {
-        const Constraint& constraint = record.implementation_constraint(variant);
-        unsigned fitting = 0;
-        for (std::size_t node = 0; node < resources_.node_count(); ++node) {
-          if (std::find(record.excluded_nodes.begin(), record.excluded_nodes.end(),
-                        static_cast<int>(node)) != record.excluded_nodes.end())
-            continue;
-          if (resources_.could_fit(node, constraint)) ++fitting;
-        }
-        feasible = fitting >= std::max(1u, constraint.nodes);
-      }
-      if (!feasible) infeasible.push_back(id);
-    }
+    for (TaskId id = study.head; id != kNoTask; id = graph_.task(id).ready_next)
+      if (!feasible(graph_.task(id))) infeasible.push_back(id);
   }
   for (TaskId id : infeasible)
     end_task(graph_.task(id), TaskState::Failed, "no live node can satisfy the constraint");

@@ -254,10 +254,10 @@ class Engine : private CandidateSource {
   /// construction.
   void inject_node_event(std::size_t node, double time, bool up) CHPO_REQUIRES(g_engine_ctx);
 
-  /// After a node death, ready tasks whose constraints no longer fit any
-  /// live node must fail rather than wait forever. Returns true if any task
-  /// transitioned (progress was made). A no-op while a node rejoin is still
-  /// scheduled: capacity that will return is not gone.
+  /// After a node death, ready tasks that are no longer feasible (see
+  /// feasible) must fail rather than wait forever. Returns true if any
+  /// task transitioned (progress was made). A no-op while a node rejoin is
+  /// still scheduled: capacity that will return is not gone.
   bool reap_infeasible() CHPO_REQUIRES(g_engine_ctx);
 
   /// Lineage status of (data, version) as seen by wait_on.
@@ -458,6 +458,10 @@ class Engine : private CandidateSource {
   void end_task(TaskRecord& record, TaskState state, std::string reason)
       CHPO_REQUIRES(g_engine_ctx);
 
+  /// Whether `record` can ever run: for some implementation, enough live
+  /// nodes outside its excluded_nodes could fit it, or a node rejoin is
+  /// still scheduled. make_ready and reap_infeasible fail a task on this.
+  bool feasible(const TaskRecord& record) const;
   void make_ready(TaskId task) CHPO_REQUIRES(g_engine_ctx);
   /// Append `record` to its study's readiness list and rank set.
   void push_ready(TaskRecord& record) CHPO_REQUIRES(g_engine_ctx);

@@ -154,6 +154,21 @@ TEST(FaultTolerance, AllNodesDeadFailsPendingTasks) {
   EXPECT_THROW(runtime.wait_on(queued), TaskFailedError);
 }
 
+TEST(FaultTolerance, RetryWaitsForAScheduledRejoin) {
+  // The only node dies at t=5 with its rejoin already scheduled for t=20.
+  // The retry of the killed task fits nowhere until then, but capacity
+  // that will return is not gone: it waits and reruns from t=20.
+  RuntimeOptions opts = sim_nodes(1, 1);
+  opts.injector.schedule_node_failure(0, 5.0);
+  opts.injector.schedule_node_recovery(0, 20.0);
+  opts.fault_policy.max_attempts = 5;
+  Runtime runtime(std::move(opts));
+  const Future f = runtime.submit(timed("survivor", 10.0));
+  EXPECT_EQ(runtime.wait_on_as<int>(f), 1);
+  EXPECT_EQ(runtime.graph().task(f.producer).state, TaskState::Done);
+  EXPECT_DOUBLE_EQ(runtime.now(), 30.0);
+}
+
 TEST(FaultTolerance, FailureDoesNotAffectIndependentTasks) {
   RuntimeOptions opts = sim_nodes(2);
   opts.fault_policy.max_attempts = 1;

@@ -1012,7 +1012,7 @@ TEST(GoldenSchedules, SimulatorSchedulesMatchThePinnedHash) {
   ScheduleHash hash;
   for (std::uint64_t seed = 0; seed < 60; ++seed) run_golden_program(seed, hash);
   set_log_level(before);
-  EXPECT_EQ(hash.value, 397118914868973450ULL) << "simulated schedules changed";
+  EXPECT_EQ(hash.value, 5322033816410204977ULL) << "simulated schedules changed";
 }
 
 // ---------------------------------------------------------------------
