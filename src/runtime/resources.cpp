@@ -110,13 +110,6 @@ bool ResourceState::could_fit(std::size_t node, const Constraint& constraint) co
   return want_cpus <= n.core_busy.size() && constraint.gpus <= n.gpu_busy.size();
 }
 
-bool ResourceState::feasible(const Constraint& constraint) const {
-  unsigned fitting = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    if (could_fit(i, constraint)) ++fitting;
-  return fitting >= std::max(1u, constraint.nodes);
-}
-
 std::size_t ResourceState::add_node(const cluster::NodeSpec& node) {
   spec_.nodes.push_back(node);
   const std::size_t index = nodes_.size();

@@ -41,9 +41,6 @@ class ResourceState {
   /// node (ignores current occupancy) — used to reject impossible tasks
   /// early.
   bool could_fit(std::size_t node, const Constraint& constraint) const;
-  /// Whether the cluster could ever satisfy the constraint: at least
-  /// constraint.nodes live nodes that each fit the per-node share.
-  bool feasible(const Constraint& constraint) const;
 
   /// Elastic growth: register a new node at runtime ("the user just has
   /// to request more nodes", §6.1 — here even mid-run). Returns its index.

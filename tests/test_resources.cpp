@@ -111,13 +111,6 @@ TEST(Resources, CouldFitIgnoresOccupancy) {
   EXPECT_FALSE(rs.could_fit(0, Constraint{.cpus = 1, .gpus = 1}));
 }
 
-TEST(Resources, FeasibleChecksAnyNode) {
-  ResourceState rs(cluster::marenostrum4(2));
-  EXPECT_TRUE(rs.feasible(Constraint{.cpus = 48}));
-  EXPECT_FALSE(rs.feasible(Constraint{.cpus = 200}));
-  EXPECT_FALSE(rs.feasible(Constraint{.gpus = 1}));
-}
-
 TEST(Resources, UnknownNodeQueries) {
   ResourceState rs(cluster::marenostrum4(1));
   EXPECT_FALSE(rs.try_allocate(9, Constraint{}));
