@@ -158,12 +158,12 @@ class Runtime {
   /// Forget a closed study: free the closures (body, cost, variants) of its
   /// terminal tasks that no live task consumes, drop the engine's record of
   /// it (ready shard, policy and task index), and unregister the id
-  /// (submitting into it or asking for its name throws afterwards). The graph keeps the records
-  /// themselves, so futures, values and the DOT export stay valid; a
-  /// lineage demand on a freed task fails its consumer with
-  /// TaskFailedError. Attempts a kill abandoned may still be running: the
-  /// rest of the release happens when they land. Throws for kMainStudy or
-  /// an unknown id.
+  /// (submitting into it or asking for its name throws afterwards). The
+  /// graph keeps the records themselves, so futures, values and the DOT
+  /// export stay valid; a lineage demand on a freed task fails its consumer
+  /// with TaskFailedError. Attempts a kill abandoned may still be running:
+  /// the rest of the release happens when they land. Throws for kMainStudy
+  /// or an unknown id.
   void release_study(StudyId study);
 
   /// Submit a task over the given parameters; returns the future of the
